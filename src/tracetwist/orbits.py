@@ -35,12 +35,13 @@ from .surface import (
     Axis,
     BoundaryTraces,
     TracePoint,
+    _check_open_range,
     _require_same_mode,
     level_range,
     level_set,
     surface_sample,
 )
-from .twists import GENERATORS, TwistGenerator, apply_generator
+from .twists import GENERATORS, _STEPS, TwistGenerator, _sigmas, _twist, apply_generator
 
 
 def box_distance(p1: TracePoint, p2: TracePoint) -> Scalar:
@@ -50,27 +51,33 @@ def box_distance(p1: TracePoint, p2: TracePoint) -> Scalar:
     return max(abs(p1.x - p2.x), abs(p1.y - p2.y), abs(p1.z - p2.z))
 
 
+def _snap_key(c, snap: float) -> tuple[int, int, int]:
+    """Float dedup key: the coordinate tuple c rounded to a grid of size snap."""
+    return (round(c[0] / snap), round(c[1] / snap), round(c[2] / snap))
+
+
 class _BoxIndex:
-    """Grid hash over trace points for neighbor queries in the box metric."""
+    """Grid hash over float (x, y, z) tuples for neighbor queries in the box metric."""
 
     def __init__(self, cell: float):
         self.cell = cell
-        self.buckets: dict[tuple[int, int, int], list[TracePoint]] = defaultdict(list)
+        self.buckets: dict[tuple[int, int, int], list[tuple]] = defaultdict(list)
 
-    def _key(self, p: TracePoint) -> tuple[int, int, int]:
+    def _key(self, p: tuple) -> tuple[int, int, int]:
         c = self.cell
-        return (math.floor(p.x / c), math.floor(p.y / c), math.floor(p.z / c))
+        return (math.floor(p[0] / c), math.floor(p[1] / c), math.floor(p[2] / c))
 
-    def add(self, p: TracePoint) -> None:
+    def add(self, p: tuple) -> None:
         self.buckets[self._key(p)].append(p)
 
-    def any_within(self, p: TracePoint, eps: float, exclude_self: bool = False) -> bool:
+    def any_within(self, p: tuple, eps: float, exclude_self: bool = False) -> bool:
+        x, y, z = p
         kx, ky, kz = self._key(p)
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 for dz in (-1, 0, 1):
                     for q in self.buckets.get((kx + dx, ky + dy, kz + dz), ()):
-                        d = max(abs(p.x - q.x), abs(p.y - q.y), abs(p.z - q.z))
+                        d = max(abs(x - q[0]), abs(y - q[1]), abs(z - q[2]))
                         if d < eps and (d > 0 or not exclude_self):
                             return True
         return False
@@ -115,39 +122,35 @@ def enumerate_orbit(
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    mode = _require_same_mode(B, p0)
+    exact = _require_same_mode(B, p0) == EXACT
+    sigma = _sigmas(B)
+    moves = [(g.letter, _STEPS[g]) for g in GENERATORS]
 
-    if mode == EXACT:
-        def key(pt: TracePoint):
-            return pt.as_tuple()
-    else:
-        def key(pt: TracePoint):
-            return (round(pt.x / snap), round(pt.y / snap), round(pt.z / snap))
-
-    visited: dict = {key(p0): p0}
-    words: dict | None = {key(p0): ""} if log_words else None
+    start = p0.as_tuple()
+    visited = {start if exact else _snap_key(start, snap): p0}
+    words = {p0: ""} if log_words else None
     queue = deque([p0])
     truncated = False
     while queue and not truncated:
         cur = queue.popleft()
-        for g in GENERATORS:
-            img = apply_generator(B, cur, g)
-            k = key(img)
+        c = cur.as_tuple()
+        for letter, steps in moves:
+            img = _twist(sigma, c, steps)
+            k = img if exact else _snap_key(img, snap)
             if k in visited:
                 continue
             if len(visited) >= budget:
                 truncated = True
                 break
-            visited[k] = img
+            pt = visited[k] = TracePoint(*img)
             if words is not None:
-                words[k] = words[key(cur)] + g.letter
-            queue.append(img)
-    status = "finite" if (not truncated and mode == EXACT) else "truncated"
+                words[pt] = words[cur] + letter
+            queue.append(pt)
     return OrbitResult(
         points=frozenset(visited.values()),
-        status=status,
+        status="finite" if (not truncated and exact) else "truncated",
         budget=budget,
-        words={pt: words[k] for k, pt in visited.items()} if words is not None else None,
+        words=words,
     )
 
 
@@ -197,8 +200,7 @@ def rational_angle_of(
             raise ValueError("angle corresponds to a trace of +-2, outside the domain")
         return folded
     _, (level,) = unify(level)
-    if not (-2 < level < 2):
-        raise ValueError(f"|level| must be < 2, got {level}")
+    _check_open_range("level", level)
     if mode_of(level) == EXACT:
         return {
             Fraction(0): AngleFraction(1, 2),
@@ -272,9 +274,9 @@ def epsilon_density_on_level(
     n_grid = max(8, math.ceil(8 * math.pi * speed / eps))
     index = _BoxIndex(eps)
     for pt in orbit:
-        index.add(pt.to_float())
+        index.add(pt.to_float().as_tuple())
     for j in range(n_grid):
-        gp = geom.point_at_angle(2 * math.pi * j / n_grid)
+        gp = geom.point_at_angle(2 * math.pi * j / n_grid).as_tuple()
         if not index.any_within(gp, eps, exclude_self=True):
             return False
     return True
@@ -332,18 +334,11 @@ def exceptional_family(
     generators before returning.
     """
     mode, (a, c) = unify(a, c)
-    for name, v in (("a", a), ("c", c)):
-        if not (-2 < v < 2):
-            raise ValueError(f"{name} = {v} must lie strictly in (-2, 2)")
+    _check_open_range("a", a)
+    _check_open_range("c", c)
     if not (a * a + c * c > 4):
         raise ValueError("need a^2 + c^2 > 4")
-    if mode == EXACT:
-        def irrational_angle(t):
-            return t not in (0, 1, -1)
-    else:
-        def irrational_angle(t):
-            return rational_angle_of(t) is None
-    if not (irrational_angle(a) or irrational_angle(c)):
+    if rational_angle_of(a) is not None and rational_angle_of(c) is not None:
         raise ValueError("need an irrational rotation number on the boundary")
     B = BoundaryTraces(a, a, c, -c)
     orbit = frozenset({TracePoint(a * a - 2, 0, 0), TracePoint(2 - c * c, 0, 0)})
@@ -390,24 +385,22 @@ def density_scan(
     if budget <= 0:
         raise ValueError("budget must be positive")
     Bf = B.to_float()
-    current = p0.to_float()
+    sigma = _sigmas(Bf)
+    current = p0.to_float().as_tuple()
     rng = random.Random(seed)
     snap = eps / 10.0
-
-    def key(pt: TracePoint):
-        return (round(pt.x / snap), round(pt.y / snap), round(pt.z / snap))
-
-    seen = {key(current)}
+    seen = {_snap_key(current, snap)}
     points = [current]
-    alternation = (TwistGenerator(Axis.X, 1), TwistGenerator(Axis.Y, 1))
+    moves = [_STEPS[g] for g in GENERATORS]
+    alternation = (_STEPS[TwistGenerator(Axis.X, 1)], _STEPS[TwistGenerator(Axis.Y, 1)])
     last_new = 0
     for step in range(budget):
         if (step // 64) % 2 == 0:
-            g = alternation[step % 2]
+            steps = alternation[step % 2]
         else:
-            g = GENERATORS[rng.randrange(len(GENERATORS))]
-        current = apply_generator(Bf, current, g)
-        k = key(current)
+            steps = moves[rng.randrange(len(moves))]
+        current = _twist(sigma, current, steps)
+        k = _snap_key(current, snap)
         if k not in seen:
             seen.add(k)
             points.append(current)
@@ -419,7 +412,7 @@ def density_scan(
     for pt in points:
         index.add(pt)
     covered = sum(
-        1 for gp in grid_points if index.any_within(gp, eps * (1 + 1e-12))
+        1 for gp in grid_points if index.any_within(gp.as_tuple(), eps * (1 + 1e-12))
     )
     return DensityReport(
         covered_fraction=covered / len(grid_points) if grid_points else 1.0,

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .surface import BoundaryTraces, TracePoint, kappa
+from .orbits import rational_angle_of
+from .surface import BoundaryTraces, TracePoint, _check_open_range, kappa
 
 
 @dataclass(frozen=True)
@@ -78,16 +79,12 @@ def from_triple(A: Mat2, B: Mat2, C: Mat2) -> RepFour:
 def trace_coordinates(rep: RepFour) -> tuple[BoundaryTraces, TracePoint]:
     """Boundary traces and the interior trace point of a representation.
 
-    Boundary traces outside the open interval (-2, 2) are refused (the
-    package only models elliptic boundary holonomy).  The returned point
-    satisfies kappa = 0 exactly; this is re-verified and a failure would
-    be a bug, not bad input.
+    Boundary traces outside the open interval (-2, 2) are refused by
+    :class:`BoundaryTraces` (the package only models elliptic boundary
+    holonomy).  The returned point satisfies kappa = 0 exactly; this is
+    re-verified and a failure would be a bug, not bad input.
     """
-    traces = tuple(m.trace() for m in (rep.A, rep.B, rep.C, rep.D))
-    for t in traces:
-        if not (-2 < t < 2):
-            raise ValueError(f"boundary trace {t} outside (-2, 2); construction refused")
-    boundary = BoundaryTraces(*traces)
+    boundary = BoundaryTraces(*(m.trace() for m in (rep.A, rep.B, rep.C, rep.D)))
     point = TracePoint(
         (rep.A @ rep.B).trace(),
         (rep.B @ rep.C).trace(),
@@ -107,12 +104,11 @@ def is_in_F(a: Fraction, c: Fraction) -> bool:
     at 0 and +-1.
     """
     a, c = Fraction(a), Fraction(c)
-    for name, v in (("a", a), ("c", c)):
-        if not (-2 < v < 2):
-            raise ValueError(f"{name} = {v} must lie strictly in (-2, 2)")
+    _check_open_range("a", a)
+    _check_open_range("c", c)
     if a * a + c * c <= 4:
         return False
-    return a not in (0, 1, -1) or c not in (0, 1, -1)
+    return rational_angle_of(a) is None or rational_angle_of(c) is None
 
 
 def exceptional_representation() -> RepFour:

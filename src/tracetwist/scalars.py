@@ -206,10 +206,11 @@ class Surd:
         return NotImplemented if c is NotImplemented else c < 0
 
     def __hash__(self):
-        # Rational surds must hash like the rational they equal.
+        # Rational surds must hash like the rational they equal.  Equal
+        # irrational surds share a, the sign of b and b^2*r, not b and r.
         if self.is_rational:
             return hash(self.a)
-        return hash((self.a, self.b, self.r))
+        return hash((self.a, _sign(self.b), self.b * self.b * self.r))
 
     def __repr__(self):
         if self.is_rational:

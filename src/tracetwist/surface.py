@@ -115,7 +115,7 @@ class BoundaryTraces:
         return (a, c), (d, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TracePoint:
     """A point (x, y, z) in trace coordinates, on or off the surface."""
 
@@ -289,8 +289,7 @@ def classify(
 def level_set(B: BoundaryTraces, axis: Axis, level: Scalar) -> LevelSetGeometry:
     """Conic normal form of the slice {axis coordinate == level}, |level| < 2."""
     _, (level, _) = unify(level, B.a)
-    if not (-2 < level < 2):
-        raise ValueError(f"|level| must be < 2, got {level}")
+    _check_open_range("level", level)
     (u1, v1), (u2, v2) = B.trace_pairs(axis)
     f1 = level * level - u1 * v1 * level + u1 * u1 + v1 * v1 - 4
     f2 = level * level - u2 * v2 * level + u2 * u2 + v2 * v2 - 4

@@ -419,10 +419,14 @@ def bounded_search(
     """All minimal rational relations with distinct angles pi*p/q in (0, pi/2).
 
     Candidates are screened by double-precision evaluation against nearby
-    small rationals, re-screened at 50 significant digits, and only then
+    small rationals, re-screened at 60 significant digits, and only then
     confirmed in exact cyclotomic arithmetic; minimality (no rational
     proper sub-combination) is decided exactly.  Proportional duplicates
     keep their first-enumerated representative.
+
+    Guards: ``max_q <= 30`` and at most 20,000,000 combinations, the sum
+    over k <= max_terms of C(n, k) * len(coeff_set)**k for n angles; the
+    latter rejects ``max_q=30`` with coefficients (1, -1) (234,875,816).
     """
     if max_q > 30:
         raise ValueError("search is desk-scale only: max_q <= 30")
@@ -521,7 +525,7 @@ def eqcos_residual(
     )
     value = eval_exact(rel)
     if value.is_zero():
-        L = rel.conductor()
+        L = math.lcm(rel.conductor(), 2 * theta_y.q, 2 * theta_z.q)
         lhs = cos_pi(theta_xy, L).scale(2)
         two = Fraction(2)
         rhs = (

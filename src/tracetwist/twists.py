@@ -11,7 +11,12 @@ about the x-axis is::
     y -> sigma_y - x*z_new - y    (second step)
 
 and its inverse performs the same two substitutions in the opposite order.
-The y- and z-twists are the cyclic analogues.
+The y-twist replaces x then z, the z-twist y then x.  One private kernel
+runs these steps from a table on raw ``(x, y, z)`` tuples, and the orbit
+loops call it directly; :func:`apply_generator`, :func:`vieta_involution`
+and :func:`apply_word` check the numeric mode once and return a
+:class:`TracePoint`, and :func:`rotation_angle` checks its level lies in
+(-2, 2).
 
 On a slice of its own axis a twist is conjugate to a rotation by
 ``2*acos(level/2)``; :func:`to_rotation_frame` realizes the conjugating
@@ -28,6 +33,7 @@ from .surface import (
     Axis,
     BoundaryTraces,
     TracePoint,
+    _check_open_range,
     _require_same_mode,
     level_set,
 )
@@ -99,57 +105,54 @@ class TwistWord:
         return TwistWord(tuple(out))
 
 
+# A Vieta step on coordinate i is (i, j, k) with j < k the other two indices.
+_VIETA = {Axis.X: (0, 1, 2), Axis.Y: (1, 0, 2), Axis.Z: (2, 0, 1)}
+# The coordinates a forward twist replaces, in order; its inverse runs the
+# same pair in reverse.
+_FORWARD = {Axis.X: (Axis.Z, Axis.Y), Axis.Y: (Axis.X, Axis.Z), Axis.Z: (Axis.Y, Axis.X)}
+_STEPS = {
+    g: tuple(_VIETA[axis] for axis in _FORWARD[g.axis][:: g.power]) for g in GENERATORS
+}
+
+
+def _sigmas(B: BoundaryTraces) -> tuple[Scalar, Scalar, Scalar]:
+    return (B.sigma_x, B.sigma_y, B.sigma_z)
+
+
+def _twist(sigma, c, steps):
+    """Run Vieta steps (i, j, k) on the coordinate tuple c, unchecked.
+
+    Float results depend on the evaluation order ``(sigma - product) - c``.
+    """
+    c = list(c)
+    for i, j, k in steps:
+        c[i] = sigma[i] - c[j] * c[k] - c[i]
+    return tuple(c)
+
+
 def vieta_involution(B: BoundaryTraces, p: TracePoint, variable: Axis) -> TracePoint:
     """Replace one coordinate by the other root of kappa as a quadratic in it."""
     _require_same_mode(B, p)
-    x, y, z = p.x, p.y, p.z
-    if variable is Axis.X:
-        return TracePoint(B.sigma_x - y * z - x, y, z)
-    if variable is Axis.Y:
-        return TracePoint(x, B.sigma_y - x * z - y, z)
-    return TracePoint(x, y, B.sigma_z - x * y - z)
+    return TracePoint(*_twist(_sigmas(B), p.as_tuple(), (_VIETA[variable],)))
 
 
 def apply_generator(B: BoundaryTraces, p: TracePoint, g: TwistGenerator) -> TracePoint:
     """Act by one twist generator; the generator's own coordinate is fixed."""
     _require_same_mode(B, p)
-    x, y, z = p.x, p.y, p.z
-    if g.axis is Axis.X:
-        if g.power == 1:
-            z = B.sigma_z - x * y - z
-            y = B.sigma_y - x * z - y
-        else:
-            y = B.sigma_y - x * z - y
-            z = B.sigma_z - x * y - z
-    elif g.axis is Axis.Y:
-        if g.power == 1:
-            x = B.sigma_x - y * z - x
-            z = B.sigma_z - y * x - z
-        else:
-            z = B.sigma_z - y * x - z
-            x = B.sigma_x - y * z - x
-    else:
-        if g.power == 1:
-            y = B.sigma_y - z * x - y
-            x = B.sigma_x - z * y - x
-        else:
-            x = B.sigma_x - z * y - x
-            y = B.sigma_y - z * x - y
-    return TracePoint(x, y, z)
+    return TracePoint(*_twist(_sigmas(B), p.as_tuple(), _STEPS[g]))
 
 
 def apply_word(B: BoundaryTraces, p: TracePoint, w: TwistWord) -> TracePoint:
-    """Fold :func:`apply_generator` over a word; the empty word is the identity."""
-    for g in w.letters:
-        p = apply_generator(B, p, g)
-    return p
+    """Apply the generators of a word left to right; the empty word is the identity."""
+    _require_same_mode(B, p)
+    steps = [step for g in w.letters for step in _STEPS[g]]
+    return TracePoint(*_twist(_sigmas(B), p.as_tuple(), steps))
 
 
 def rotation_angle(level: Scalar) -> float:
     """Rotation angle 2*acos(level/2) of a twist on its own level slice."""
     _, (level,) = unify(level)
-    if not (-2 < level < 2):
-        raise ValueError(f"|level| must be < 2, got {level}")
+    _check_open_range("level", level)
     return 2.0 * math.acos(float(level) / 2.0)
 
 

@@ -138,6 +138,10 @@ def test_scan_deterministic(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert 0.0 <= payload["covered_fraction"] <= 1.0
+    assert out1 == (
+        '{"budget": 4000, "covered_fraction": 1.0, "eps": 0.15, "grid_size": 144, '
+        '"orbit_size": 3446, "seed": 3, "truncated": true}\n'
+    )
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

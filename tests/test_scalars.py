@@ -53,6 +53,8 @@ def test_surd_collapse_and_equality():
     assert Surd(1, 1, 9) == 4
     assert Surd(1, 1, 9) == Fraction(4)
     assert Surd(0, 2, 2) == Surd(0, 1, 8)  # 2*sqrt(2) == sqrt(8)
+    assert len({Surd(0, 2, 2), Surd(0, 1, 8)}) == 1
+    assert len({Surd(1, -2, 2), Surd(1, -1, 8), Surd(1, 1, 8)}) == 2
     assert Surd(0, 1, 2) != Surd(0, 1, 3)
     assert hash(Surd(1, 1, 9)) == hash(Fraction(4))
 

@@ -237,6 +237,14 @@ def test_eqcos_residual_nonzero_and_irrational(markov_B):
     assert float(value.numeric()) == pytest.approx(math.cos(math.pi / 5))
 
 
+def test_eqcos_residual_crosscheck_needs_larger_conductor():
+    # theta_y = pi/6 and theta_z = pi/2 need conductor 12 and 4, but the
+    # relation angles (2pi/3, 2pi/3, pi/3, pi/3) only need 6.
+    B = BoundaryTraces(1, Fraction(1, 2), 1, Fraction(-1, 2))
+    thetas = (AngleFraction(1, 3), AngleFraction(1, 6), AngleFraction(1, 2), AngleFraction(2, 3))
+    assert eqcos_residual(B, thetas) == Fraction(0)
+
+
 def test_eqcos_residual_requires_exact(markov_B):
     right = AngleFraction(1, 2)
     with pytest.raises(ValueError):

@@ -93,17 +93,34 @@ def test_vieta_examples(exceptional_B, markov_B):
     assert vieta_involution(markov_B, TracePoint(0, 0, 2), Axis.Z) == TracePoint(0, 0, -2)
 
 
+def _vieta_by_hand(B, p, axis):
+    x, y, z = p.as_tuple()
+    if axis is Axis.X:
+        return TracePoint(B.sigma_x - y * z - x, y, z)
+    if axis is Axis.Y:
+        return TracePoint(x, B.sigma_y - x * z - y, z)
+    return TracePoint(x, y, B.sigma_z - x * y - z)
+
+
+# The coordinates a forward twist replaces, in order; the inverse reverses them.
+TWIST_FACTORS = {Axis.X: (Axis.Z, Axis.Y), Axis.Y: (Axis.X, Axis.Z), Axis.Z: (Axis.Y, Axis.X)}
+
+
 def test_twist_factors_into_vietas():
     rng = random.Random(3)
     for _ in range(100):
         B, p = rand_boundary(rng), rand_point(rng)
-        # forward x-twist: replace z, then replace y
-        step = vieta_involution(B, p, Axis.Z)
-        step = vieta_involution(B, step, Axis.Y)
-        assert step == apply_generator(B, p, TwistGenerator(Axis.X))
+        for B_mode, p_mode in ((B, p), (B.to_float(), p.to_float())):
+            for g in GENERATORS:
+                first, second = TWIST_FACTORS[g.axis][:: g.power]
+                by_hand = _vieta_by_hand(B_mode, _vieta_by_hand(B_mode, p_mode, first), second)
+                step = vieta_involution(B_mode, vieta_involution(B_mode, p_mode, first), second)
+                assert apply_generator(B_mode, p_mode, g) == step == by_hand
 
 
-@settings(max_examples=50)
+# No deadline: exact heights grow exponentially with word length, so one
+# 16-letter example can take 0.3 s (187k-bit denominators) and another 1 ms.
+@settings(max_examples=50, deadline=None)
 @given(boundary_tuples, point_tuples, st.text(alphabet="XYZxyz", max_size=8), st.text(alphabet="XYZxyz", max_size=8))
 def test_word_group_law(traces, coords, w1, w2):
     B = BoundaryTraces(*traces)
