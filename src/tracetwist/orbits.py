@@ -378,13 +378,17 @@ def density_scan(
     the systematic two-twist pattern with seeded pseudo-random generator
     choices, deduplicated on an eps/10 grid.  `budget` counts twist
     applications.  `truncated` reports whether new points were still being
-    found in the final tenth of the walk.
+    found in the final tenth of the walk.  An empty sample grid is refused
+    rather than reported as fully covered.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if budget <= 0:
         raise ValueError("budget must be positive")
     Bf = B.to_float()
+    grid_points = surface_sample(Bf, *grid)
+    if not grid_points:
+        raise ValueError(f"sample grid {grid[0]},{grid[1]} has no points")
     sigma = _sigmas(Bf)
     current = p0.to_float().as_tuple()
     rng = random.Random(seed)
@@ -406,8 +410,6 @@ def density_scan(
             points.append(current)
             last_new = step
 
-    m, k_angles = grid
-    grid_points = surface_sample(Bf, m, k_angles)
     index = _BoxIndex(eps)
     for pt in points:
         index.add(pt)
@@ -415,7 +417,7 @@ def density_scan(
         1 for gp in grid_points if index.any_within(gp.as_tuple(), eps * (1 + 1e-12))
     )
     return DensityReport(
-        covered_fraction=covered / len(grid_points) if grid_points else 1.0,
+        covered_fraction=covered / len(grid_points),
         truncated=last_new >= 0.9 * budget,
         orbit_size=len(points),
         grid_size=len(grid_points),

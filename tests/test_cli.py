@@ -144,6 +144,17 @@ def test_scan_deterministic(capsys):
     )
 
 
+@pytest.mark.parametrize("grid", ["0,12", "3,0"])
+def test_scan_refuses_empty_grid(capsys, grid):
+    code, out, err = run(
+        capsys, "scan", "--traces", "1/2,1/2,1/2,1/3", "--point", "0,1/2,-1.55",
+        "--eps", "0.1", "--budget", "100", "--grid", grid,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: sample grid")
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("traces=0,0,0,0\nn=4\n", encoding="utf-8")

@@ -287,6 +287,10 @@ def test_density_scan_validation(minimal_B):
         density_scan(minimal_B, TracePoint(0.0, 0.0, 0.0), eps=0.0, budget=10)
     with pytest.raises(ValueError):
         density_scan(minimal_B, TracePoint(0.0, 0.0, 0.0), eps=0.1, budget=0)
+    # an empty sample grid would be vacuously covered
+    for grid in ((0, 12), (3, 0)):
+        with pytest.raises(ValueError, match="sample grid"):
+            density_scan(minimal_B, TracePoint(0.0, 0.5, -1.55), eps=0.1, budget=100, grid=grid)
 
 
 def test_N_of_epsilon_markov_near_zero_slice(markov_B):

@@ -1,10 +1,15 @@
+import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tracetwist
 from tracetwist.trigdioph import _has_rational_proper_subset
 from tracetwist import (
     AngleFraction,
@@ -202,6 +207,60 @@ def test_bounded_search_guards():
         bounded_search(31)
     with pytest.raises(ValueError):
         bounded_search(30, 4, tuple(Fraction(n, 7) for n in range(-20, 21) if n))
+    with pytest.raises(ValueError, match="at least one"):
+        bounded_search(5, 4, ())
+
+
+def test_bounded_search_keeps_large_coefficient_denominators():
+    # the value 1/10002 has a denominator above 10,000
+    found = bounded_search(3, 1, (Fraction(1, 5001),))
+    assert len(found) == 1
+    rel, cls = found[0]
+    assert rel.describe() == "1/5001*cos(pi/3) = 1/10002"
+    assert cls.kind == "family" and cls.family == 1
+
+
+def _exhaustive_search(max_q, max_terms, coeffs):
+    # every combination decided exactly, with no float screen
+    fractions = {Fraction(p, q) for q in range(3, max_q + 1) for p in range(1, (q + 1) // 2)}
+    angles = [AngleFraction.from_fraction(t) for t in sorted(fractions)]
+    keys = set()
+    for k in range(1, max_terms + 1):
+        for combo in itertools.combinations(angles, k):
+            for assignment in itertools.product(coeffs, repeat=k):
+                terms = tuple(CJTerm(Fraction(c), a) for c, a in zip(assignment, combo))
+                value = is_rational_relation(CJRelation(terms, Fraction(0)))
+                if value is None:
+                    continue
+                rel = CJRelation(terms, value)
+                if match_family(rel).kind != "reducible":
+                    keys.add(_proportional_key(rel))
+    return keys
+
+
+def _proportional_key(rel):
+    lead = rel.terms[0].coeff
+    return tuple((t.angle, t.coeff / lead) for t in rel.terms), rel.rhs / lead
+
+
+@pytest.mark.parametrize(
+    "max_q, max_terms, coeffs",
+    [(6, 4, (1, -1)), (5, 3, (1, -1, Fraction(1, 2), Fraction(-1, 2), 2, -2))],
+)
+def test_bounded_search_screen_is_exhaustive(max_q, max_terms, coeffs):
+    found = bounded_search(max_q, max_terms, coeffs)
+    keys = [_proportional_key(rel) for rel, _ in found]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == _exhaustive_search(max_q, max_terms, coeffs)
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    src = str(Path(tracetwist.__file__).resolve().parents[1])
+    code = "import sys, tracetwist, tracetwist.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_conductor_guard():
