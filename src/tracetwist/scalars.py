@@ -78,11 +78,11 @@ def unify(*values: Scalar) -> tuple[str, tuple[Scalar, ...]]:
     return mode, tuple(cast(v) if isinstance(v, int) else v for v in values)
 
 
-def as_fraction(text: str | int | Fraction) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (or pass through exact numbers)."""
-    if isinstance(text, (int, Fraction)):
-        return Fraction(text)
-    return Fraction(text.strip())
+def as_fraction(value: str | int | Fraction) -> Fraction:
+    """Parse ``"p/q"`` or ``"p"``, or pass exact numbers through; floats are refused."""
+    if isinstance(value, float):
+        raise MixedModeError(f"{value!r} is a float; exact arithmetic takes ints and Fractions")
+    return Fraction(value)
 
 
 def sqrt_exact(value: Fraction) -> Fraction | None:

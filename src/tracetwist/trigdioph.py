@@ -24,10 +24,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .angles import AngleFraction
-from .scalars import EXACT
+from .scalars import EXACT, as_fraction
 from .surface import BoundaryTraces
 
 CONDUCTOR_LIMIT = 10_000
+_ZERO = Fraction(0)
 
 
 class ConductorLimitError(ValueError):
@@ -68,22 +69,34 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 def _phi(n: int) -> int:
+    _guard_conductor(n)
     return len(cyclotomic_poly(n)) - 1
 
 
-def _reduce(conductor: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a coefficient vector modulo the cyclotomic polynomial."""
+def _reduce(conductor: int, dense: list[int], den: int) -> tuple[Fraction, ...]:
+    """Coordinates of sum_k dense[k] * z^k / den for integer dense[k] and den.
+
+    Exponents fold mod the conductor (z^L = 1), one synthetic division by
+    Phi_L runs on the integers, and the Fractions are built once at the end.
+    """
     phi = cyclotomic_poly(conductor)
     m = len(phi) - 1
-    vec = list(dense) + [Fraction(0)] * max(0, m - len(dense))
-    for e in range(len(vec) - 1, m - 1, -1):
+    vec = dense[:conductor] + [0] * (conductor - len(dense))
+    for k in range(conductor, len(dense)):
+        vec[k % conductor] += dense[k]
+    taps = [(j, t) for j, t in enumerate(phi[:m]) if t]
+    for e in range(conductor - 1, m - 1, -1):
         c = vec[e]
         if c:
-            vec[e] = Fraction(0)
-            for j in range(m):
-                if phi[j]:
-                    vec[e - m + j] -= c * phi[j]
-    return tuple(vec[:m])
+            for j, t in taps:
+                vec[e - m + j] -= c * t
+    return tuple(Fraction(c, den) if c else _ZERO for c in vec[:m])
+
+
+def _numerators(coords: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators of the coordinates over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (den // c.denominator) for c in coords], den
 
 
 @dataclass(frozen=True)
@@ -92,7 +105,13 @@ class CycloElement:
 
     Coordinates are exact rationals over the power basis 1, z, ...,
     z^(phi-1) with z = exp(2*pi*i/conductor); the element is rational iff
-    every non-constant coordinate is zero.
+    every non-constant coordinate is zero.  ``==`` and ``hash`` compare the
+    conductor and the coordinates, not the value; compare values with
+    ``(a - b).is_zero()``:
+
+    >>> a = cos_pi(AngleFraction(1, 3))
+    >>> a == a.promote(12), (a - a.promote(12)).is_zero()
+    (False, True)
     """
 
     conductor: int
@@ -104,16 +123,14 @@ class CycloElement:
 
     @classmethod
     def from_rational(cls, conductor: int, value) -> "CycloElement":
-        coords = [Fraction(value)] + [Fraction(0)] * (_phi(conductor) - 1)
+        coords = [as_fraction(value)] + [_ZERO] * (_phi(conductor) - 1)
         return cls(conductor, tuple(coords))
 
     @classmethod
     def root_power(cls, conductor: int, k: int) -> "CycloElement":
         """The root of unity z^k."""
-        k %= conductor
-        dense = [Fraction(0)] * (k + 1)
-        dense[k] = Fraction(1)
-        return cls(conductor, _reduce(conductor, dense))
+        _guard_conductor(conductor)
+        return cls(conductor, _reduce(conductor, [0] * (k % conductor) + [1], 1))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -136,31 +153,33 @@ class CycloElement:
         return CycloElement(self.conductor, tuple(-x for x in self.coords))
 
     def scale(self, factor) -> "CycloElement":
-        factor = Fraction(factor)
-        return CycloElement(self.conductor, tuple(factor * x for x in self.coords))
+        factor = as_fraction(factor)
+        return CycloElement(self.conductor, tuple(factor * x if x else x for x in self.coords))
 
     def __mul__(self, other: "CycloElement") -> "CycloElement":
         a, b = _common(self, other)
-        n = len(a.coords)
-        dense = [Fraction(0)] * (2 * n - 1)
-        for i, x in enumerate(a.coords):
+        xs, dx = _numerators(a.coords)
+        ys, dy = _numerators(b.coords)
+        ys = [(j, y) for j, y in enumerate(ys) if y]
+        dense = [0] * (2 * len(xs) - 1)
+        for i, x in enumerate(xs):
             if x:
-                for j, y in enumerate(b.coords):
-                    if y:
-                        dense[i + j] += x * y
-        return CycloElement(a.conductor, _reduce(a.conductor, dense))
+                for j, y in ys:
+                    dense[i + j] += x * y
+        return CycloElement(a.conductor, _reduce(a.conductor, dense, dx * dy))
 
     def promote(self, conductor: int) -> "CycloElement":
         """Embed into the field of a larger conductor (a multiple of ours)."""
         if conductor == self.conductor:
             return self
+        _guard_conductor(conductor)
         if conductor % self.conductor:
             raise ValueError("can only promote to a multiple of the conductor")
         step = conductor // self.conductor
-        dense = [Fraction(0)] * ((len(self.coords) - 1) * step + 1)
-        for j, x in enumerate(self.coords):
-            dense[j * step] = x
-        return CycloElement(conductor, _reduce(conductor, dense))
+        xs, den = _numerators(self.coords)
+        dense = [0] * conductor
+        dense[::step] = xs + [0] * (self.conductor - len(xs))
+        return CycloElement(conductor, _reduce(conductor, dense, den))
 
     def numeric(self, dps: int = 50):
         """High-precision numeric value (mpmath real part)."""
@@ -177,11 +196,12 @@ class CycloElement:
 
 def _common(a: CycloElement, b: CycloElement) -> tuple[CycloElement, CycloElement]:
     L = math.lcm(a.conductor, b.conductor)
-    _guard_conductor(L)
     return a.promote(L), b.promote(L)
 
 
 def _guard_conductor(L: int) -> None:
+    if L < 1:
+        raise ValueError(f"conductor must be positive, got {L}")
     if L > CONDUCTOR_LIMIT:
         raise ConductorLimitError(f"conductor {L} exceeds guard {CONDUCTOR_LIMIT}")
 
@@ -196,9 +216,24 @@ def cos_pi(angle: AngleFraction, conductor: int | None = None) -> CycloElement:
     _guard_conductor(L)
     if L % (2 * angle.q):
         raise ValueError("conductor must be a multiple of twice the denominator")
-    k = angle.p * (L // (2 * angle.q))
-    half = CycloElement.root_power(L, k) + CycloElement.root_power(L, -k)
-    return half.scale(Fraction(1, 2))
+    return _cosine_sum(L, ((1, angle),), 0)
+
+
+def _cosine_sum(L: int, pairs, rhs) -> CycloElement:
+    """sum(c*cos(angle) for c, angle in pairs) - rhs at conductor L, reduced once.
+
+    Over D = lcm(denominators), c*cos(pi*p/q) = c*(z^k + z^-k)/2 puts the
+    integer c*D at z^k and z^-k over the common denominator 2*D.
+    """
+    D = math.lcm(rhs.denominator, *(c.denominator for c, _ in pairs))
+    dense = [0] * L
+    dense[0] = -2 * rhs.numerator * (D // rhs.denominator)
+    for c, angle in pairs:
+        n = c.numerator * (D // c.denominator)
+        k = angle.p * (L // (2 * angle.q))
+        dense[k % L] += n
+        dense[-k % L] += n
+    return CycloElement(L, _reduce(L, dense, 2 * D))
 
 
 @dataclass(frozen=True)
@@ -209,7 +244,7 @@ class CJTerm:
     angle: AngleFraction
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "coeff", as_fraction(self.coeff))
         if self.coeff == 0:
             raise ValueError("zero coefficients are not terms")
 
@@ -223,15 +258,12 @@ class CJRelation:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        object.__setattr__(self, "rhs", as_fraction(self.rhs))
 
     @classmethod
     def make(cls, triples, rhs=0) -> "CJRelation":
         """Build from (coeff, p, q) triples."""
-        return cls(
-            tuple(CJTerm(Fraction(c), AngleFraction(p, q)) for c, p, q in triples),
-            Fraction(rhs),
-        )
+        return cls(tuple(CJTerm(c, AngleFraction(p, q)) for c, p, q in triples), rhs)
 
     def conductor(self) -> int:
         L = 1
@@ -288,10 +320,7 @@ def eval_exact(rel: CJRelation) -> CycloElement:
     """Exact value of (sum of terms) - rhs in the least common cyclotomic field."""
     L = rel.conductor()
     _guard_conductor(L)
-    total = CycloElement.from_rational(L, -rel.rhs)
-    for t in rel.terms:
-        total = total + cos_pi(t.angle, L).scale(t.coeff)
-    return total
+    return _cosine_sum(L, [(t.coeff, t.angle) for t in rel.terms], rel.rhs)
 
 
 def is_rational_relation(rel: CJRelation) -> Fraction | None:
@@ -319,7 +348,7 @@ _FIXED_FAMILIES: dict[int, CJRelation] = {
 
 def t_family_instance(t: Fraction) -> CJRelation:
     """The three-term family member at parameter angle pi*t, 0 < t < 1/6."""
-    t = Fraction(t)
+    t = as_fraction(t)
     if not (0 < t < Fraction(1, 6)):
         raise ValueError("parameter must satisfy 0 < t < 1/6")
     third = Fraction(1, 3)
@@ -440,7 +469,7 @@ def bounded_search(
         raise ValueError("search is desk-scale only: max_q <= 30")
     if not (1 <= max_terms <= 4):
         raise ValueError("max_terms must be between 1 and 4")
-    coeffs = tuple(Fraction(c) for c in coeff_set)
+    coeffs = tuple(as_fraction(c) for c in coeff_set)
     if not coeffs or any(c == 0 for c in coeffs):
         raise ValueError("coefficients must be nonzero, and at least one is needed")
     angles = _search_angles(max_q)

@@ -39,6 +39,8 @@ def test_as_fraction_parsing():
     assert as_fraction("7/4") == Fraction(7, 4)
     assert as_fraction("-3") == -3
     assert as_fraction(Fraction(2, 5)) == Fraction(2, 5)
+    with pytest.raises(MixedModeError):
+        as_fraction(0.5)
 
 
 def test_sqrt_exact():

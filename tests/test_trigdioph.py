@@ -18,6 +18,7 @@ from tracetwist import (
     CJTerm,
     ConductorLimitError,
     CycloElement,
+    MixedModeError,
     bounded_search,
     conway_jones_list,
     cos_pi,
@@ -266,6 +267,108 @@ def test_package_import_leaves_mpmath_unloaded():
 def test_conductor_guard():
     with pytest.raises(ConductorLimitError):
         eval_exact(CJRelation.make([(1, 1, 5001)], 0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cos_pi(AngleFraction(1, 3), 0),
+        lambda: CycloElement.root_power(0, 1),
+        lambda: cos_pi(AngleFraction(1, 3), -6),
+    ],
+    ids=["cos_pi-0", "root_power-0", "cos_pi-negative"],
+)
+def test_conductor_must_be_positive(build):
+    # these raised ZeroDivisionError, ZeroDivisionError and IndexError
+    with pytest.raises(ValueError, match="conductor must be positive"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CJTerm(0.1, AngleFraction(1, 3)),
+        lambda: CJRelation((), 0.5),
+        lambda: CJRelation.make([(1, 1, 3)], 0.5),
+        lambda: CycloElement.from_rational(6, 0.5),
+        lambda: cos_pi(AngleFraction(1, 5)).scale(0.1),
+        lambda: bounded_search(3, 1, (0.1,)),
+        lambda: t_family_instance(0.1),
+    ],
+    ids=["term", "rhs", "make-rhs", "from_rational", "scale", "bounded_search", "t_family"],
+)
+def test_floats_never_enter_exact_arithmetic(build):
+    # bounded_search(3, 1, (0.1,)) used to certify a binary fraction times
+    # cos(pi/3) as family 1
+    with pytest.raises(MixedModeError):
+        build()
+
+
+def _power_remainder(k, phi):
+    # x^k modulo the monic polynomial phi, by schoolbook integer long division
+    m = len(phi) - 1
+    rem = [0] * k + [1]
+    for e in range(k, m - 1, -1):
+        c = rem[e]
+        if c:
+            for j, t in enumerate(phi):
+                rem[e - m + j] -= c * t
+    return (rem + [0] * m)[:m]
+
+
+def test_root_power_matches_long_division():
+    for L in range(1, 61):
+        phi = cyclotomic_poly(L)
+        for k in range(2 * L):
+            coords = CycloElement.root_power(L, k).coords
+            assert all(isinstance(c, Fraction) for c in coords)
+            assert coords == tuple(_power_remainder(k, phi)), (L, k)
+
+
+_small_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-9, max_value=9).filter(bool),
+    st.integers(min_value=1, max_value=6),
+)
+
+
+@st.composite
+def _relations(draw, max_half):
+    # every angle is pi*p/h, so the conductor divides 2*h <= 2*max_half
+    half = draw(st.integers(min_value=1, max_value=max_half))
+    terms = draw(
+        st.lists(
+            st.tuples(_small_fractions, st.integers(min_value=0, max_value=2 * half - 1)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    rhs = draw(st.one_of(st.just(Fraction(0)), _small_fractions))
+    return CJRelation(tuple(CJTerm(c, AngleFraction(p, half)) for c, p in terms), rhs)
+
+
+@st.composite
+def _real_elements(draw):
+    # sum of c*(z^j + z^-j) at any conductor up to 210, odd ones included
+    L = draw(st.integers(min_value=1, max_value=210))
+    total = CycloElement.zero(L)
+    pairs = st.tuples(_small_fractions, st.integers(min_value=0, max_value=L - 1))
+    for c, j in draw(st.lists(pairs, max_size=4)):
+        pair = CycloElement.root_power(L, j) + CycloElement.root_power(L, -j)
+        total = total + pair.scale(c)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relations(105), _relations(12), _real_elements())
+def test_integer_kernel_matches_mpmath(rel, other, w):
+    a, b = eval_exact(rel), eval_exact(other)
+    with mpmath.workdps(60):
+        tol = mpmath.mpf(10) ** -40
+        assert abs(a.numeric(60) - _numeric_direct(rel, 60)) < tol
+        # products at one conductor and at the lcm of two, promoting both
+        for x, y in ((a, a), (a, b), (w, w), (w, b)):
+            assert abs((x * y).numeric(60) - x.numeric(60) * y.numeric(60)) < tol
 
 
 def test_eqcos_residual_degenerate_cases(markov_B):
