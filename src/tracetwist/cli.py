@@ -5,6 +5,12 @@ go to standard error.  Exit codes: 0 success, 1 a built-in exactness check
 failed, 2 invalid input.  Exact rationals cross the process boundary as
 "p/q" strings so no precision is lost; exact-mode output contains no
 floating-point literals.
+
+Each option's flag, type and default is declared once, in `_build_parser`.
+A ``--config`` file's ``key=value`` lines (keys are flag names with
+underscores, switches take ``true`` or ``false``) become the defaults of
+the command that has the flag, so they go through the flag's own type;
+other keys are ignored and flags on the command line override the file.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .orbits import (
@@ -31,40 +36,23 @@ from .twists import TwistWord, apply_word
 from .trigdioph import bounded_search, conway_jones_list, eval_exact
 
 
-@dataclass
-class RunConfig:
-    """Validated inputs of one CLI invocation."""
-
-    command: str
-    mode: str = EXACT
-    traces: tuple | None = None
-    point: tuple | None = None
-    word: str | None = None
-    eps: float = 0.1
-    budget: int = 10_000
-    max_q: int = 15
-    seed: int = 0
-    out: str | None = None
-    n: int = 4
-    grid: tuple[int, int] = (24, 24)
-    coeffs: tuple = (1, -1)
-    max_terms: int = 4
-    t: Fraction = Fraction(1, 12)
-    verify_list: bool = False
-    search: bool = False
-    log_words: bool = False
-
-
-def _parse_scalar(text: str, mode: str):
-    value = Fraction(text.strip())
-    return value if mode == EXACT else float(value)
-
-
-def _parse_csv_values(text: str, mode: str, expect: int, what: str) -> tuple:
+def _parse_csv_values(text: str, parse, expect: int | None, what: str) -> tuple:
     parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != expect:
+    if expect is not None and len(parts) != expect:
         raise ValueError(f"{what} needs {expect} comma-separated values, got {len(parts)}")
-    return tuple(_parse_scalar(p, mode) for p in parts)
+    return tuple(parse(p) for p in parts)
+
+
+def _csv_flag(parse, expect: int | None, what: str):
+    """An argparse ``type`` for comma-separated values; errors follow the flag name."""
+
+    def convert(text: str) -> tuple:
+        try:
+            return _parse_csv_values(text, parse, expect, what)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _fmt(value):
@@ -94,8 +82,8 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    B = BoundaryTraces(*cfg.traces)
+def cmd_classify(args: argparse.Namespace) -> int:
+    B = args.traces
     component, interval = classify(B)
     payload = {
         "component": component.value,
@@ -105,7 +93,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         "sigma_z": _fmt(B.sigma_z),
         "s_const": _fmt(B.s_const),
     }
-    if cfg.mode == EXACT:
+    if args.mode == EXACT:
         payload["minimality_criterion"] = minimality_criterion(B)
     _emit(payload)
     return 0
@@ -124,20 +112,19 @@ def _orbit_csv(points, mode: str) -> str:
     return buf.getvalue()
 
 
-def cmd_orbit(cfg: RunConfig) -> int:
-    B = BoundaryTraces(*cfg.traces)
-    p0 = TracePoint(*cfg.point)
-    if cfg.word:
-        p0 = apply_word(B, p0, TwistWord.parse(cfg.word))
-    result = enumerate_orbit(B, p0, cfg.budget, log_words=cfg.log_words)
-    csv_text = _orbit_csv(result.points, cfg.mode)
+def cmd_orbit(args: argparse.Namespace) -> int:
+    B, p0 = args.traces, args.point
+    if args.word:
+        p0 = apply_word(B, p0, TwistWord.parse(args.word))
+    result = enumerate_orbit(B, p0, args.budget, log_words=args.log_words)
+    csv_text = _orbit_csv(result.points, args.mode)
     summary = {
         "status": result.status,
         "cardinality": result.cardinality,
-        "budget": cfg.budget,
+        "budget": args.budget,
     }
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_text)
         _emit(summary)
     else:
@@ -146,30 +133,29 @@ def cmd_orbit(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    B = BoundaryTraces(*cfg.traces)
-    p0 = TracePoint(*cfg.point)
-    report = density_scan(B, p0, cfg.eps, cfg.budget, grid=cfg.grid, seed=cfg.seed)
+def cmd_scan(args: argparse.Namespace) -> int:
+    B, p0 = args.traces, args.point
+    report = density_scan(B, p0, args.eps, args.budget, grid=args.grid, seed=args.seed)
     _emit(
         {
             "covered_fraction": report.covered_fraction,
             "truncated": report.truncated,
             "orbit_size": report.orbit_size,
             "grid_size": report.grid_size,
-            "eps": cfg.eps,
-            "budget": cfg.budget,
-            "seed": cfg.seed,
+            "eps": args.eps,
+            "budget": args.budget,
+            "seed": args.seed,
         }
     )
     return 0
 
 
-def cmd_filtration(cfg: RunConfig) -> int:
-    level = filtration(cfg.n)
+def cmd_filtration(args: argparse.Namespace) -> int:
+    level = filtration(args.n)
     elements = sorted(level.elements, key=lambda a: a.two_cos())
     _emit(
         {
-            "n": cfg.n,
+            "n": args.n,
             "elements": [
                 {"p": a.p, "q": a.q, "two_cos": a.two_cos()} for a in elements
             ],
@@ -178,11 +164,11 @@ def cmd_filtration(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_cj(cfg: RunConfig) -> int:
-    if cfg.verify_list:
+def cmd_cj(args: argparse.Namespace) -> int:
+    if args.verify_list:
         rows = []
         ok = True
-        for idx, rel in enumerate(conway_jones_list(cfg.t), start=1):
+        for idx, rel in enumerate(conway_jones_list(args.t), start=1):
             residual = eval_exact(rel)
             zero = residual.is_zero()
             ok = ok and zero
@@ -195,8 +181,8 @@ def cmd_cj(cfg: RunConfig) -> int:
             )
         _emit(rows)
         return 0 if ok else 1
-    if cfg.search:
-        found = bounded_search(cfg.max_q, cfg.max_terms, cfg.coeffs)
+    if args.search:
+        found = bounded_search(args.max_q, args.max_terms, args.coeffs)
         rows = []
         for rel, cls in found:
             rows.append(
@@ -214,7 +200,7 @@ def cmd_cj(cfg: RunConfig) -> int:
     raise ValueError("cj requires --verify-list or --search")
 
 
-def cmd_example5(cfg: RunConfig) -> int:
+def cmd_example5(args: argparse.Namespace) -> int:
     """Built-in end-to-end self-test on the explicit finite-orbit example."""
     checks: dict[str, bool] = {}
     rep = exceptional_representation()
@@ -251,138 +237,107 @@ def cmd_example5(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The command-line parser; a ``--config`` file named in ``argv`` sets its defaults."""
+    # No abbreviations at the top level: an abbreviated --config would skip the pre-parse.
+    config_option = argparse.ArgumentParser(prog="tracetwist", add_help=False, allow_abbrev=False)
+    config_option.add_argument("--config", help="flat key=value config file; flags override")
+    path = config_option.parse_known_args(argv)[0].config
+    config = _load_config_file(path) if path else {}
     parser = argparse.ArgumentParser(
         prog="tracetwist",
         description="Twist dynamics on the four-holed-sphere character variety",
+        parents=[config_option],
+        allow_abbrev=False,
     )
-    parser.add_argument("--config", help="flat key=value config file; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **flags):
-        p = sub.add_parser(name, help=help_text)
+    def add(func, help_text, **flags):
+        """Register ``func``, named ``cmd_<command>``, as the subcommand ``<command>``."""
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help_text)
         for flag, kwargs in flags.items():
             p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
+        defaults = {flag: config[flag] for flag in flags if flag in config}
+        for flag, value in defaults.items():
+            if flags[flag].get("action") == "store_true":
+                if value not in ("true", "false"):
+                    p.error(f"config key {flag} takes true or false, not {value!r}")
+                defaults[flag] = value == "true"
+        p.set_defaults(func=func, **defaults)
         return p
 
+    mode = {"choices": [EXACT, FLOAT], "default": EXACT}
+    budget = {"type": int, "default": 10_000}
     add(
-        "classify",
+        cmd_classify,
         "component type, attainable x-interval, and sigma invariants",
         traces={"help": "a,b,c,d as rationals"},
-        mode={"choices": [EXACT, FLOAT]},
+        mode=mode,
     )
     add(
-        "orbit",
+        cmd_orbit,
         "breadth-first orbit closure; CSV points plus JSON summary",
         traces={"help": "a,b,c,d"},
         point={"help": "x,y,z"},
-        budget={"type": int},
-        mode={"choices": [EXACT, FLOAT]},
+        budget=budget,
+        mode=mode,
         word={"help": "twist word applied to the start point first, e.g. XYz"},
         out={"help": "CSV output path (default: CSV on stdout)"},
-        log_words={"action": "store_true", "default": None},
+        log_words={"action": "store_true"},
     )
     add(
-        "scan",
+        cmd_scan,
         "orbit exploration and surface-grid coverage (float mode)",
         traces={"help": "a,b,c,d"},
         point={"help": "x,y,z"},
-        eps={"type": float},
-        budget={"type": int},
-        seed={"type": int},
-        grid={"help": "m,k surface sample grid"},
-    )
+        eps={"type": float, "default": 0.1},
+        budget=budget,
+        seed={"type": int, "default": 0},
+        grid={
+            "type": _csv_flag(int, 2, "grid"),
+            "default": (24, 24),
+            "help": "m,k surface sample grid",
+        },
+    ).set_defaults(mode=FLOAT)
     add(
-        "cj",
+        cmd_cj,
         "cosine-relation toolkit: verify the built-in list or search",
-        verify_list={"action": "store_true", "default": None},
-        search={"action": "store_true", "default": None},
-        max_q={"type": int},
-        max_terms={"type": int},
-        coeffs={"help": "comma-separated rational coefficients"},
-        t={"help": "parameter (of pi) for the three-term family"},
+        verify_list={"action": "store_true"},
+        search={"action": "store_true"},
+        max_q={"type": int, "default": 15},
+        max_terms={"type": int, "default": 4},
+        coeffs={
+            "type": _csv_flag(Fraction, None, "coeffs"),
+            "default": (1, -1),
+            "help": "comma-separated rational coefficients",
+        },
+        t={
+            "type": Fraction,
+            "default": Fraction(1, 12),
+            "help": "parameter (of pi) for the three-term family",
+        },
     )
-    add(
-        "filtration",
-        "trace levels with twist period <= n",
-        n={"type": int},
-    )
-    add("example5", "built-in exceptional-orbit example with exact self-checks")
+    add(cmd_filtration, "trace levels with twist period <= n", n={"type": int, "default": 4})
+    add(cmd_example5, "built-in exceptional-orbit example with exact self-checks")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
-
-    def pick(name, cast=None, default=None):
-        value = getattr(args, name, None)
-        if value is None and name in file_values:
-            value = file_values[name]
-        if value is None:
-            return default
-        return cast(value) if cast is not None and isinstance(value, str) else value
-
-    mode = pick("mode", str, EXACT)
-    if mode not in (EXACT, FLOAT):
-        raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}")
-    cfg = RunConfig(command=args.command, mode=mode)
-    if args.command == "scan":
-        cfg.mode = FLOAT
-    traces = pick("traces")
-    if traces is not None:
-        cfg.traces = _parse_csv_values(traces, cfg.mode, 4, "traces")
-    point = pick("point")
-    if point is not None:
-        cfg.point = _parse_csv_values(point, cfg.mode, 3, "point")
-    cfg.eps = pick("eps", float, cfg.eps)
-    cfg.budget = pick("budget", int, cfg.budget)
-    cfg.max_q = pick("max_q", int, cfg.max_q)
-    cfg.max_terms = pick("max_terms", int, cfg.max_terms)
-    cfg.seed = pick("seed", int, cfg.seed)
-    cfg.word = pick("word")
-    cfg.out = pick("out")
-    cfg.n = pick("n", int, cfg.n)
-    grid = pick("grid")
-    if grid is not None:
-        m, k = (int(v) for v in str(grid).split(","))
-        cfg.grid = (m, k)
-    coeffs = pick("coeffs")
-    if coeffs is not None:
-        cfg.coeffs = tuple(Fraction(c) for c in str(coeffs).split(","))
-    t = pick("t")
-    if t is not None:
-        cfg.t = Fraction(str(t))
-    cfg.verify_list = bool(pick("verify_list", default=False))
-    cfg.search = bool(pick("search", default=False))
-    cfg.log_words = bool(pick("log_words", default=False))
-    return cfg
-
-
-_COMMANDS = {
-    "classify": cmd_classify,
-    "orbit": cmd_orbit,
-    "scan": cmd_scan,
-    "cj": cmd_cj,
-    "filtration": cmd_filtration,
-    "example5": cmd_example5,
-}
-
-
-def _require(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required for {cfg.command}")
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.command in ("classify", "orbit", "scan"):
-            _require(cfg, "traces")
-        if cfg.command in ("orbit", "scan"):
-            _require(cfg, "point")
-        return _COMMANDS[cfg.command](cfg)
+        args = _build_parser(argv).parse_args(argv)
+        # argparse checks neither choices nor required flags on values
+        # that come from the config file.
+        mode = getattr(args, "mode", EXACT)
+        if mode not in (EXACT, FLOAT):
+            raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}")
+        parse = Fraction if mode == EXACT else lambda s: float(Fraction(s))
+        for name, size, kind in (("traces", 4, BoundaryTraces), ("point", 3, TracePoint)):
+            if not hasattr(args, name):
+                continue
+            if getattr(args, name) is None:
+                raise ValueError(f"--{name} is required for {args.command}")
+            setattr(args, name, kind(*_parse_csv_values(getattr(args, name), parse, size, name)))
+        return args.func(args)
     except (ValueError, MixedModeError, NeedsFloatModeError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

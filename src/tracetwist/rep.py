@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .orbits import rational_angle_of
+from .scalars import as_fraction
 from .surface import BoundaryTraces, TracePoint, _check_open_range, kappa
 
 
 @dataclass(frozen=True)
 class Mat2:
-    """A 2x2 matrix over exact rationals with determinant one."""
+    """A 2x2 matrix over exact rationals with determinant one; floats are refused."""
 
     e11: Fraction
     e12: Fraction
@@ -32,7 +33,7 @@ class Mat2:
 
     def __post_init__(self):
         for name in ("e11", "e12", "e21", "e22"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
         det = self.e11 * self.e22 - self.e12 * self.e21
         if det != 1:
             raise ValueError(f"determinant must be exactly 1, got {det}")
@@ -103,7 +104,7 @@ def is_in_F(a: Fraction, c: Fraction) -> bool:
     by Niven's theorem a rational trace in (-2, 2) rotates rationally only
     at 0 and +-1.
     """
-    a, c = Fraction(a), Fraction(c)
+    a, c = as_fraction(a), as_fraction(c)
     _check_open_range("a", a)
     _check_open_range("c", c)
     if a * a + c * c <= 4:

@@ -102,9 +102,6 @@ class BoundaryTraces:
             return self
         return BoundaryTraces(float(self.a), float(self.b), float(self.c), float(self.d))
 
-    def sigma(self, axis: Axis) -> Scalar:
-        return {Axis.X: self.sigma_x, Axis.Y: self.sigma_y, Axis.Z: self.sigma_z}[axis]
-
     def trace_pairs(self, axis: Axis):
         """The two boundary-trace pairs whose product quadratics cut the axis range."""
         a, b, c, d = self.a, self.b, self.c, self.d

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .angles import AngleFraction
-from .scalars import EXACT, as_fraction
+from .scalars import EXACT, MixedModeError, as_fraction
 from .surface import BoundaryTraces
 
 CONDUCTOR_LIMIT = 10_000
@@ -116,6 +116,17 @@ class CycloElement:
 
     conductor: int
     coords: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        # Kept to a length check and a type scan: the kernel builds an
+        # element per arithmetic result.
+        if len(self.coords) != _phi(self.conductor):
+            raise ValueError(
+                f"conductor {self.conductor} takes {_phi(self.conductor)} coordinates, "
+                f"got {len(self.coords)}"
+            )
+        if float in map(type, self.coords):
+            raise MixedModeError("CycloElement coordinates are exact; got a float")
 
     @classmethod
     def zero(cls, conductor: int) -> "CycloElement":

@@ -204,3 +204,48 @@ def test_orbit_fixed_point_single_row(capsys, tmp_path):
     assert code == 0
     assert json.loads(out) == {"budget": 100, "cardinality": 1, "status": "finite"}
     assert out_path.read_text().strip().splitlines() == ["x,y,z", "0,0,0"]
+
+
+def test_config_file_switch_false_is_off(capsys, tmp_path):
+    # "false" used to be read as a true switch and ran the search
+    config = tmp_path / "run.cfg"
+    config.write_text("search=false\nmax_q=4\n", encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(config), "cj")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cj requires --verify-list or --search\n"
+    config.write_text("search=true\nmax_q=5\n", encoding="utf-8")
+    code, out, _ = run(capsys, "--config", str(config), "cj")
+    assert code == 0
+    assert any(r["family"] == 3 for r in json.loads(out))
+
+
+@pytest.mark.parametrize("value", ["yes", "1", "True", ""])
+def test_config_file_switch_takes_true_or_false(capsys, tmp_path, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"search={value}\nmax_q=4\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(config), "cj"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config key search takes true or false, not {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("grid", ["3", "a,b", "1.5,2"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_malformed_grid_names_the_flag(capsys, tmp_path, grid, source):
+    # these failed with "not enough values to unpack" or an int() message
+    argv = ["scan", "--traces", "1/2,1/2,1/2,1/3", "--point", "0,1/2,-1.55", "--budget", "100"]
+    if source == "flag":
+        argv += ["--grid", grid]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"grid={grid}\n", encoding="utf-8")
+        argv = ["--config", str(config)] + argv
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --grid: " in captured.err

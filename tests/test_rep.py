@@ -6,6 +6,7 @@ import pytest
 from tracetwist import (
     BoundaryTraces,
     Mat2,
+    MixedModeError,
     TracePoint,
     enumerate_orbit,
     exceptional_family,
@@ -27,6 +28,9 @@ def test_mat2_basics():
     assert m @ m.inverse() == I
     with pytest.raises(ValueError):
         Mat2(1, 0, 0, 2)
+    # a float entry used to be taken as its binary fraction
+    with pytest.raises(MixedModeError):
+        Mat2(0.5, 0, 0, 2)
 
 
 def test_repfour_relation_enforced():
@@ -80,6 +84,8 @@ def test_is_in_F_examples():
     assert not is_in_F(Fraction(0), 2 - Fraction(1, 10**6))
     with pytest.raises(ValueError):
         is_in_F(Fraction(5, 2), Fraction(0))
+    with pytest.raises(MixedModeError):
+        is_in_F(1.0, Fraction(7, 4))
 
 
 def test_explicit_point_sits_in_special_orbit():

@@ -294,14 +294,27 @@ def test_conductor_must_be_positive(build):
         lambda: cos_pi(AngleFraction(1, 5)).scale(0.1),
         lambda: bounded_search(3, 1, (0.1,)),
         lambda: t_family_instance(0.1),
+        lambda: CycloElement(12, (0.5, 0, 0, 0)),
     ],
-    ids=["term", "rhs", "make-rhs", "from_rational", "scale", "bounded_search", "t_family"],
+    ids=[
+        "term", "rhs", "make-rhs", "from_rational", "scale", "bounded_search", "t_family",
+        "constructor",
+    ],
 )
 def test_floats_never_enter_exact_arithmetic(build):
     # bounded_search(3, 1, (0.1,)) used to certify a binary fraction times
     # cos(pi/3) as family 1
     with pytest.raises(MixedModeError):
         build()
+
+
+def test_cyclo_element_takes_phi_coordinates():
+    # a short tuple used to truncate the other operand of + and -, so
+    # 1 + cos(pi/6) came out as the rational 1
+    with pytest.raises(ValueError, match="conductor 12 takes 4 coordinates, got 1"):
+        CycloElement(12, (Fraction(1),)) + cos_pi(AngleFraction(1, 6))
+    with pytest.raises(ValueError, match="takes 4 coordinates, got 5"):
+        CycloElement(12, (Fraction(0),) * 5)
 
 
 def _power_remainder(k, phi):
