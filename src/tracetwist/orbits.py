@@ -36,12 +36,17 @@ from .surface import (
     BoundaryTraces,
     TracePoint,
     _check_open_range,
+    _from_integers,
     _require_same_mode,
+    _to_integers,
     level_range,
     level_set,
     surface_sample,
 )
-from .twists import GENERATORS, _STEPS, TwistGenerator, _sigmas, _twist, apply_generator
+from .twists import (
+    GENERATORS, _STEPS, TwistGenerator, TwistWord, _sigmas, _twist, _twist_exact,
+    apply_generator, apply_word,
+)
 
 
 def box_distance(p1: TracePoint, p2: TracePoint) -> Scalar:
@@ -49,6 +54,12 @@ def box_distance(p1: TracePoint, p2: TracePoint) -> Scalar:
     if p1.mode != p2.mode:
         raise MixedModeError("box distance requires points in one numeric mode")
     return max(abs(p1.x - p2.x), abs(p1.y - p2.y), abs(p1.z - p2.z))
+
+
+def _check_eps(eps: float) -> None:
+    # NaN and infinity pass a plain eps <= 0 test.
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, not {eps}")
 
 
 def _snap_key(c, snap: float) -> tuple[int, int, int]:
@@ -123,34 +134,45 @@ def enumerate_orbit(
     if budget <= 0:
         raise ValueError("budget must be positive")
     exact = _require_same_mode(B, p0) == EXACT
-    sigma = _sigmas(B)
+    if exact:
+        kernel, sigma, start = _twist_exact, B._integer_form, _to_integers(p0)
+    else:
+        kernel, sigma, start = _twist, _sigmas(B), p0.as_tuple()
     moves = [(g.letter, _STEPS[g]) for g in GENERATORS]
 
-    start = p0.as_tuple()
-    visited = {start if exact else _snap_key(start, snap): p0}
-    words = {p0: ""} if log_words else None
-    queue = deque([p0])
+    # Dedup key -> kept coordinates; exact keys are the canonical integer forms.
+    visited = {start if exact else _snap_key(start, snap): start}
+    words = {start: ""} if log_words else None
+    queue = deque([start])
     truncated = False
     while queue and not truncated:
-        cur = queue.popleft()
-        c = cur.as_tuple()
+        c = queue.popleft()
         for letter, steps in moves:
-            img = _twist(sigma, c, steps)
+            img = kernel(sigma, c, steps)
             k = img if exact else _snap_key(img, snap)
             if k in visited:
                 continue
             if len(visited) >= budget:
                 truncated = True
                 break
-            pt = visited[k] = TracePoint(*img)
+            visited[k] = img
             if words is not None:
-                words[pt] = words[cur] + letter
-            queue.append(pt)
+                words[img] = words[c] + letter
+            queue.append(img)
+
+    # Build the points only now, dropping each carrier as its point is
+    # built; `shared` gives equal exact coordinates one Fraction object.
+    queue.clear()
+    kept = list(visited.values())
+    visited.clear()
+    shared = {}
+    for n, c in enumerate(kept):
+        kept[n] = _from_integers(c, shared) if exact else TracePoint(*c)
     return OrbitResult(
-        points=frozenset(visited.values()),
+        points=frozenset(kept),
         status="finite" if (not truncated and exact) else "truncated",
         budget=budget,
-        words=words,
+        words=dict(zip(kept, words.values())) if words is not None else None,
     )
 
 
@@ -217,10 +239,10 @@ def rational_angle_of(
 
 
 def _is_fixed(B: BoundaryTraces, p: TracePoint, g: TwistGenerator) -> bool:
-    img = apply_generator(B, p, g)
     if p.mode == EXACT:
-        return img == p
-    return box_distance(img, p) <= 1e-12
+        c = _to_integers(p)
+        return _twist_exact(B._integer_form, c, _STEPS[g]) == c
+    return box_distance(apply_generator(B, p, g), p) <= 1e-12
 
 
 def twist_period(
@@ -240,9 +262,7 @@ def twist_period(
     if angle is None:
         return None
     period = angle.q
-    cur = p
-    for _ in range(period):
-        cur = apply_generator(B, cur, g)
+    cur = apply_word(B, p, TwistWord((g,) * period))
     if p.mode == EXACT:
         if cur != p:
             raise RuntimeError(f"period {period} failed to verify exactly")
@@ -264,8 +284,7 @@ def epsilon_density_on_level(
     most eps/4; every grid point must have an orbit point strictly within
     eps (and strictly away from itself) in the box metric.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     geom = level_set(B.to_float(), axis, float(level))
     if not geom.is_ellipse:
         raise ValueError("level set is degenerate; density is undefined")
@@ -304,8 +323,7 @@ def N_of_epsilon(B: BoundaryTraces, eps: float) -> int:
     its slice ellipse, at gaps below the circumference bound over q, hence
     below eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     return math.ceil(_circumference_bound(B) / eps) + 1
 
 
@@ -342,15 +360,19 @@ def exceptional_family(
         raise ValueError("need an irrational rotation number on the boundary")
     B = BoundaryTraces(a, a, c, -c)
     orbit = frozenset({TracePoint(a * a - 2, 0, 0), TracePoint(2 - c * c, 0, 0)})
-    for pt in orbit:
-        for g in GENERATORS:
-            img = apply_generator(B, pt, g)
-            if mode == EXACT:
-                ok = img in orbit
-            else:
-                ok = any(box_distance(img, q) <= TOL_SURFACE for q in orbit)
-            if not ok:
-                raise RuntimeError("special orbit failed closure under the twists")
+    if mode == EXACT:
+        forms = {_to_integers(pt) for pt in orbit}
+        closed = all(
+            _twist_exact(B._integer_form, c, _STEPS[g]) in forms for c in forms for g in GENERATORS
+        )
+    else:
+        closed = all(
+            any(box_distance(apply_generator(B, pt, g), q) <= TOL_SURFACE for q in orbit)
+            for pt in orbit
+            for g in GENERATORS
+        )
+    if not closed:
+        raise RuntimeError("special orbit failed closure under the twists")
     return B, orbit
 
 
@@ -381,8 +403,7 @@ def density_scan(
     found in the final tenth of the walk.  An empty sample grid is refused
     rather than reported as fully covered.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if budget <= 0:
         raise ValueError("budget must be positive")
     Bf = B.to_float()

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 
 from .scalars import (
@@ -69,6 +70,8 @@ class BoundaryTraces:
     The derived symmetric invariants are fixed at construction:
     sigma_x = ab+cd, sigma_y = ad+bc, sigma_z = ac+bd and the constant
     s_const = a^2+b^2+c^2+d^2+abcd-4 appearing in the surface equation.
+    Exact arithmetic on points uses them over one common denominator, see
+    :attr:`_integer_form`.
     """
 
     a: Scalar
@@ -96,6 +99,17 @@ class BoundaryTraces:
     @property
     def mode(self) -> str:
         return mode_of(self.a)
+
+    @cached_property
+    def _integer_form(self) -> tuple[int, int, int, int, int]:
+        """``(E, S_x, S_y, S_z, S_0)`` with sigma_i = S_i/E and s_const = S_0/E, E > 0.
+
+        Exact mode only; computed on first use and kept on the instance
+        outside the dataclass fields, so eq, hash and repr do not see it.
+        """
+        invariants = (self.sigma_x, self.sigma_y, self.sigma_z, self.s_const)
+        E = math.lcm(*(v.denominator for v in invariants))
+        return (E, *(v.numerator * (E // v.denominator) for v in invariants))
 
     def to_float(self) -> "BoundaryTraces":
         if self.mode == FLOAT:
@@ -148,6 +162,32 @@ class TracePoint:
 
     def as_tuple(self) -> tuple[Scalar, Scalar, Scalar]:
         return (self.x, self.y, self.z)
+
+
+def _to_integers(p: TracePoint) -> tuple[int, int, int, int]:
+    """The canonical integer form ``(X, Y, Z, D)`` of an exact point.
+
+    p equals ``(X/D, Y/D, Z/D)`` with ``D > 0`` the least common denominator,
+    so ``gcd(X, Y, Z, D) == 1``; equal points have equal forms.
+    """
+    x, dx = p.x.as_integer_ratio()
+    y, dy = p.y.as_integer_ratio()
+    z, dz = p.z.as_integer_ratio()
+    D = math.lcm(dx, dy, dz)
+    return (x * (D // dx), y * (D // dy), z * (D // dz), D)
+
+
+def _from_integers(c: tuple[int, int, int, int], shared: dict | None = None) -> TracePoint:
+    """The point ``(X/D, Y/D, Z/D)`` of an integer form.
+
+    With a dict `shared`, equal coordinates of successive calls come back
+    as one Fraction object, keyed by (numerator, denominator).
+    """
+    X, Y, Z, D = c
+    coords = (Fraction(X, D), Fraction(Y, D), Fraction(Z, D))
+    if shared is not None:
+        coords = [shared.setdefault((f.numerator, f.denominator), f) for f in coords]
+    return TracePoint(*coords)
 
 
 def _require_same_mode(B: BoundaryTraces, p: TracePoint) -> str:
@@ -246,13 +286,26 @@ class LevelSetGeometry:
 def kappa(B: BoundaryTraces, p: TracePoint) -> Scalar:
     """Defining polynomial of the surface; zero exactly on it.
 
+    Exact mode evaluates it on integers: with ``p = (X/D, Y/D, Z/D)`` and
+    the invariants over their common denominator E, ``E*D^3*kappa`` is one
+    integer polynomial, divided out once into a Fraction.
+
     >>> B = BoundaryTraces(0, 0, 0, 0)
     >>> kappa(B, TracePoint(0, 0, 2))
     Fraction(0, 1)
     >>> kappa(B, TracePoint(0, 0, 0))
     Fraction(-4, 1)
     """
-    _require_same_mode(B, p)
+    if _require_same_mode(B, p) == EXACT:
+        E, Sx, Sy, Sz, S0 = B._integer_form
+        X, Y, Z, D = _to_integers(p)
+        DD = D * D
+        value = (
+            E * (D * (X * X + Y * Y + Z * Z) + X * Y * Z)
+            - DD * (Sx * X + Sy * Y + Sz * Z)
+            + S0 * DD * D
+        )
+        return Fraction(value, E * DD * D)
     x, y, z = p.x, p.y, p.z
     return (
         x * x + y * y + z * z + x * y * z

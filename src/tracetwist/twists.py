@@ -11,12 +11,19 @@ about the x-axis is::
     y -> sigma_y - x*z_new - y    (second step)
 
 and its inverse performs the same two substitutions in the opposite order.
-The y-twist replaces x then z, the z-twist y then x.  One private kernel
-runs these steps from a table on raw ``(x, y, z)`` tuples, and the orbit
-loops call it directly; :func:`apply_generator`, :func:`vieta_involution`
-and :func:`apply_word` check the numeric mode once and return a
-:class:`TracePoint`, and :func:`rotation_angle` checks its level lies in
-(-2, 2).
+The y-twist replaces x then z, the z-twist y then x.  A table lists these
+steps per generator, and a private kernel runs them on one of two carriers:
+
+* exact mode: the canonical integer form ``(X, Y, Z, D)`` of the point
+  ``(X/D, Y/D, Z/D)``, with ``D > 0`` and ``gcd(X, Y, Z, D) == 1``, against
+  the boundary invariants over one common denominator; each step ends with
+  one reduction, so the form stays canonical and serves as a dedup key;
+* float mode: raw ``(x, y, z)`` tuples of doubles.
+
+The orbit loops call the kernels directly.  :func:`apply_generator`,
+:func:`vieta_involution` and :func:`apply_word` check the numeric mode once,
+convert the point to its carrier and back, and return a
+:class:`TracePoint`; :func:`rotation_angle` checks its level lies in (-2, 2).
 
 On a slice of its own axis a twist is conjugate to a rotation by
 ``2*acos(level/2)``; :func:`to_rotation_frame` realizes the conjugating
@@ -27,14 +34,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import gcd
 
-from .scalars import FLOAT, NeedsFloatModeError, Scalar, unify
+from .scalars import EXACT, FLOAT, NeedsFloatModeError, Scalar, unify
 from .surface import (
     Axis,
     BoundaryTraces,
     TracePoint,
     _check_open_range,
+    _from_integers,
     _require_same_mode,
+    _to_integers,
     level_set,
 )
 
@@ -120,7 +130,7 @@ def _sigmas(B: BoundaryTraces) -> tuple[Scalar, Scalar, Scalar]:
 
 
 def _twist(sigma, c, steps):
-    """Run Vieta steps (i, j, k) on the coordinate tuple c, unchecked.
+    """Run Vieta steps (i, j, k) on the float coordinate tuple c, unchecked.
 
     Float results depend on the evaluation order ``(sigma - product) - c``.
     """
@@ -130,23 +140,47 @@ def _twist(sigma, c, steps):
     return tuple(c)
 
 
+def _twist_exact(b, c, steps):
+    """Run Vieta steps (i, j, k) on the canonical integer form c, unchecked.
+
+    ``b = (E, S_x, S_y, S_z, S_0)`` is ``B._integer_form`` and
+    ``c = (X, Y, Z, D)`` stands for ``(X/D, Y/D, Z/D)``.  A step puts
+    ``n = S_i*D^2 - E*X_j*X_k - E*D*X_i`` over ``E*D^2``, scales the other two
+    numerators by ``E*D`` and divides all four by their gcd, so the result is
+    canonical again.  That gcd equals ``gcd(n, E*D*gcd(X_j, X_k, D))``, which
+    runs on the smaller, unscaled numbers.
+    """
+    E = b[0]
+    v = list(c)
+    D = v.pop()
+    for i, j, k in steps:
+        ED = E * D
+        xj, xk = v[j], v[k]
+        n = b[1 + i] * D * D - E * xj * xk - ED * v[i]
+        g = gcd(n, ED * gcd(xj, xk, D))
+        v[i], v[j], v[k], D = n // g, xj * ED // g, xk * ED // g, D * ED // g
+    return (v[0], v[1], v[2], D)
+
+
+def _act(B: BoundaryTraces, p: TracePoint, steps) -> TracePoint:
+    if _require_same_mode(B, p) == EXACT:
+        return _from_integers(_twist_exact(B._integer_form, _to_integers(p), steps))
+    return TracePoint(*_twist(_sigmas(B), p.as_tuple(), steps))
+
+
 def vieta_involution(B: BoundaryTraces, p: TracePoint, variable: Axis) -> TracePoint:
     """Replace one coordinate by the other root of kappa as a quadratic in it."""
-    _require_same_mode(B, p)
-    return TracePoint(*_twist(_sigmas(B), p.as_tuple(), (_VIETA[variable],)))
+    return _act(B, p, (_VIETA[variable],))
 
 
 def apply_generator(B: BoundaryTraces, p: TracePoint, g: TwistGenerator) -> TracePoint:
     """Act by one twist generator; the generator's own coordinate is fixed."""
-    _require_same_mode(B, p)
-    return TracePoint(*_twist(_sigmas(B), p.as_tuple(), _STEPS[g]))
+    return _act(B, p, _STEPS[g])
 
 
 def apply_word(B: BoundaryTraces, p: TracePoint, w: TwistWord) -> TracePoint:
     """Apply the generators of a word left to right; the empty word is the identity."""
-    _require_same_mode(B, p)
-    steps = [step for g in w.letters for step in _STEPS[g]]
-    return TracePoint(*_twist(_sigmas(B), p.as_tuple(), steps))
+    return _act(B, p, [step for g in w.letters for step in _STEPS[g]])
 
 
 def rotation_angle(level: Scalar) -> float:

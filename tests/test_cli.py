@@ -155,6 +155,17 @@ def test_scan_refuses_empty_grid(capsys, grid):
     assert err.startswith("error: sample grid")
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_scan_refuses_non_finite_eps(capsys, eps):
+    code, out, err = run(
+        capsys, "scan", "--traces", "1/2,1/2,1/2,1/3", "--point", "0,1/2,-1.55",
+        "--eps", eps, "--budget", "100",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: eps must be positive and finite")
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("traces=0,0,0,0\nn=4\n", encoding="utf-8")

@@ -194,6 +194,9 @@ def test_epsilon_density_huge_eps(markov_B):
     B = markov_B.to_float()
     orbit = _slice_orbit(B, Axis.Y, 0.0, 2)
     assert epsilon_density_on_level(markov_B, orbit, Axis.Y, 0.0, 100.0)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            epsilon_density_on_level(markov_B, orbit, Axis.Y, 0.0, eps)
 
 
 def test_epsilon_density_degenerate_errors(exceptional_B):
@@ -209,8 +212,9 @@ def test_N_of_epsilon_bounds(markov_B):
     n1 = N_of_epsilon(markov_B, 0.2)
     n2 = N_of_epsilon(markov_B, 0.1)
     assert n2 <= 2 * n1 + 1
-    with pytest.raises(ValueError):
-        N_of_epsilon(markov_B, 0.0)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            N_of_epsilon(markov_B, eps)
 
 
 def test_N_of_epsilon_guarantee(markov_B):
@@ -283,8 +287,9 @@ def test_density_scan_deterministic(minimal_B):
 
 
 def test_density_scan_validation(minimal_B):
-    with pytest.raises(ValueError):
-        density_scan(minimal_B, TracePoint(0.0, 0.0, 0.0), eps=0.0, budget=10)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            density_scan(minimal_B, TracePoint(0.0, 0.0, 0.0), eps=eps, budget=10)
     with pytest.raises(ValueError):
         density_scan(minimal_B, TracePoint(0.0, 0.0, 0.0), eps=0.1, budget=0)
     # an empty sample grid would be vacuously covered
@@ -308,6 +313,7 @@ def test_N_of_epsilon_markov_near_zero_slice(markov_B):
 def test_word_log_on_truncated_orbit(minimal_B):
     result = enumerate_orbit(minimal_B, MINIMAL_SURFACE_POINT, 40, log_words=True)
     assert result.status == "truncated"
+    assert set(result.words) == result.points
     for point, word in result.words.items():
         regenerated = apply_word(minimal_B, MINIMAL_SURFACE_POINT, TwistWord.parse(word))
         assert regenerated == point

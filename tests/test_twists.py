@@ -14,6 +14,7 @@ from tracetwist import (
     TwistWord,
     apply_generator,
     apply_word,
+    enumerate_orbit,
     kappa,
     level_set,
     rotation_angle,
@@ -21,8 +22,9 @@ from tracetwist import (
     to_rotation_frame,
     vieta_involution,
 )
-from tracetwist.twists import GENERATORS
-from conftest import rand_boundary, rand_point
+from tracetwist.surface import _from_integers, _to_integers
+from tracetwist.twists import _STEPS, _VIETA, GENERATORS, _twist_exact
+from conftest import MINIMAL_SURFACE_POINT, rand_boundary, rand_point
 
 boundary_fractions = st.fractions(
     min_value=Fraction(-2), max_value=Fraction(2), max_denominator=10
@@ -116,6 +118,65 @@ def test_twist_factors_into_vietas():
                 by_hand = _vieta_by_hand(B_mode, _vieta_by_hand(B_mode, p_mode, first), second)
                 step = vieta_involution(B_mode, vieta_involution(B_mode, p_mode, first), second)
                 assert apply_generator(B_mode, p_mode, g) == step == by_hand
+
+
+def _kappa_by_hand(B, p):
+    x, y, z = p.as_tuple()
+    return (
+        x * x + y * y + z * z + x * y * z
+        - B.sigma_x * x - B.sigma_y * y - B.sigma_z * z
+        + B.s_const
+    )
+
+
+def _assert_canonical(c):
+    X, Y, Z, D = c
+    assert all(type(v) is int for v in c)
+    assert D > 0 and math.gcd(X, Y, Z, D) == 1
+
+
+def test_integer_kernel_matches_fractions(markov_B, minimal_B):
+    """The integer twist kernel and kappa against the Fraction formulas."""
+    rng = random.Random(6)
+    cases = [(markov_B, TracePoint(0, 0, 2)), (markov_B, TracePoint(1, -1, 0))]
+    cases += [(minimal_B, MINIMAL_SURFACE_POINT), (minimal_B, TracePoint(0, 0, 0))]
+    for _ in range(150):
+        B, p = rand_boundary(rng), rand_point(rng)
+        # Taller points, off the surface: a random word raises the heights.
+        word = TwistWord.parse("".join(rng.choice("XYZxyz") for _ in range(rng.randrange(6))))
+        cases.append((B, apply_word(B, p, word)))
+    for B, p in cases:
+        b, c = B._integer_form, _to_integers(p)
+        _assert_canonical(c)
+        assert _from_integers(c) == p
+        assert kappa(B, p) == _kappa_by_hand(B, p)
+        for axis in Axis:
+            image = _twist_exact(b, c, (_VIETA[axis],))
+            _assert_canonical(image)
+            assert _from_integers(image) == vieta_involution(B, p, axis) == _vieta_by_hand(B, p, axis)
+        for g in GENERATORS:
+            image = _twist_exact(b, c, _STEPS[g])
+            _assert_canonical(image)
+            first, second = TWIST_FACTORS[g.axis][:: g.power]
+            by_hand = _vieta_by_hand(B, _vieta_by_hand(B, p, first), second)
+            assert _from_integers(image) == apply_generator(B, p, g) == by_hand
+            assert kappa(B, by_hand) == _kappa_by_hand(B, by_hand) == _kappa_by_hand(B, p)
+
+
+def test_exact_orbit_matches_fraction_bfs(minimal_B, exceptional_B):
+    """enumerate_orbit against a breadth-first search on Fraction points."""
+    for B, p0, budget in ((minimal_B, MINIMAL_SURFACE_POINT, 300), (exceptional_B, TracePoint(-1, 0, 0), 10)):
+        words, queue = {p0: ""}, [p0]
+        for p in queue:
+            for g in GENERATORS:
+                first, second = TWIST_FACTORS[g.axis][:: g.power]
+                image = _vieta_by_hand(B, _vieta_by_hand(B, p, first), second)
+                if image not in words and len(words) < budget:
+                    words[image] = words[p] + g.letter
+                    queue.append(image)
+        result = enumerate_orbit(B, p0, budget, log_words=True)
+        assert result.points == set(words)
+        assert list(result.words.items()) == list(words.items())
 
 
 # No deadline: exact heights grow exponentially with word length, so one
