@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -383,19 +384,48 @@ class Classification:
     t: Fraction | None = None
 
 
+def _rank(rows: list[list[int]]) -> int:
+    """Rank over Q of integer row vectors, by fraction-free Gaussian elimination."""
+    rows = list(rows)
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][col]
+            if c:
+                rows[i] = [p[col] * x - c * y for x, y in zip(rows[i], p)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 def _has_rational_proper_subset(terms: tuple[CJTerm, ...]) -> bool:
-    for size in range(1, len(terms)):
-        for subset in itertools.combinations(terms, size):
-            if is_rational_relation(CJRelation(subset, Fraction(0))) is not None:
-                return True
-    return False
+    """Whether a proper subset of the angles carries a rational relation.
+
+    For the terms of a rationally valued relation with k distinct angles,
+    1, cos(theta_1), ..., cos(theta_k) have rank at most k over Q.  A rank
+    below k means a second, independent relation; eliminating an angle
+    between the two leaves a rational relation on fewer angles, with any
+    coefficients, not only the relation's own.  The rank comes from one
+    exact elimination on the power-basis coordinates at the conductor.
+    """
+    L = CJRelation(terms).conductor()
+    one = [1] + [0] * (_phi(L) - 1)
+    rows = [one] + [_numerators(cos_pi(t.angle, L).coords)[0] for t in terms]
+    return _rank(rows) < len(terms)
 
 
 def match_family(rel: CJRelation) -> Classification:
     """Identify which minimal family a rationally valued relation scales to.
 
-    The relation is normalized first; a relation with a rational proper
-    sub-combination is reported as reducible rather than matched.
+    The relation is normalized first; a relation whose angles carry another,
+    independent rational relation (so some proper subset of its angles
+    carries one) is reported as reducible rather than matched.
     Raises ValueError if the relation is not rationally valued.
     """
     nrel = normalize(rel)
@@ -447,6 +477,87 @@ def _search_angles(max_q: int) -> list[AngleFraction]:
     return sorted(angles)
 
 
+def _half_sums(r: int, n: int, scaled: list[float], cos_values: list[float]):
+    """Every r-term half as (angle indices, coefficient indices, float sum).
+
+    Angle indices ascend and the order is the brute-force one: combinations
+    of angles, then coefficient assignments.
+    """
+    products = [[s * v for s in scaled] for v in cos_values]
+    assignments = list(itertools.product(range(len(scaled)), repeat=r))
+    for idx in itertools.combinations(range(n), r):
+        for asg, terms in zip(assignments, itertools.product(*(products[i] for i in idx))):
+            yield idx, asg, sum(terms)
+
+
+def _half_index(r: int, n: int, scaled: list[float], cos_values: list[float]):
+    """The r-term halves sorted by the fractional part of their sum.
+
+    Returns ``(keys, codes, halves)``: ``keys`` the sorted fractional parts
+    and ``codes`` beside them the enumeration index of each half, which
+    ``halves`` decodes back into ``(angle indices, coefficient indices)``.
+    """
+    from array import array  # here, so that only the search loads the extension
+
+    fracs = array("d", (h % 1.0 for _, _, h in _half_sums(r, n, scaled, cos_values)))
+    order = sorted(range(len(fracs)), key=fracs.__getitem__)
+    keys = array("d", map(fracs.__getitem__, order))
+    combos = list(itertools.combinations(range(n), r))
+    assignments = list(itertools.product(range(len(scaled)), repeat=r))
+
+    def halves(code: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        c, a = divmod(code, len(assignments))
+        return combos[c], assignments[a]
+
+    return keys, array("q", order), halves
+
+
+def _screen(n: int, max_terms: int, scaled: list[float], cos_values: list[float], tol: float):
+    """Every (k, combo, assignment) whose float sum lies within tol of an integer.
+
+    Meet in the middle: a k-term combination splits into a left half of its
+    first ceil(k/2) angles and a right half of the other floor(k/2), so each
+    combination comes from exactly one pair of halves.  For each right-half
+    size the halves are indexed by the fractional part of their sum; each
+    left half, streamed and not stored, looks up the right halves whose
+    fractional part lies within ``tol + slack`` of 1 - (its own fractional
+    part), shifted by -1, 0 and +1.  The rounding that separates the two
+    half sums and their fractional parts from the full sum is a few units in
+    the last place of 1 + (the sum of the term magnitudes); ``slack`` is
+    thousands of times that, so the windows hold every combination the full
+    screen passes.  Overlapping windows visit a position once.  Each pair
+    found is re-tested with the full screen expression, in combination
+    order, and the passes come back sorted in the brute-force enumeration
+    order.
+    """
+    max_terms = min(max_terms, n)  # no index for halves of combinations that cannot exist
+    slack = 2.0**-40 * (1 + max_terms * max(map(abs, scaled)))
+    width = tol + slack
+    index = {r: _half_index(r, n, scaled, cos_values) for r in range(max_terms // 2 + 1)}
+    passes = []
+    for k in range(1, max_terms + 1):
+        keys, codes, halves = index[k // 2]
+        for left, left_asg, h in _half_sums((k + 1) // 2, n, scaled, cos_values):
+            t = 1.0 - h % 1.0
+            seen = 0
+            for centre in (t - 1.0, t, t + 1.0):
+                if centre + width < 0.0 or centre - width > 1.0:
+                    continue  # the keys lie in [0, 1]
+                lo = bisect_left(keys, centre - width, seen)
+                seen = bisect_right(keys, centre + width, lo)
+                for pos in range(lo, seen):
+                    right, right_asg = halves(codes[pos])
+                    if right and right[0] <= left[-1]:
+                        continue
+                    combo, assignment = left + right, left_asg + right_asg
+                    base = [cos_values[i] for i in combo]
+                    x = sum(scaled[j] * v for j, v in zip(assignment, base))
+                    if abs(x - round(x)) <= tol:
+                        passes.append((k, combo, assignment))
+    passes.sort()
+    return passes
+
+
 def bounded_search(
     max_q: int,
     max_terms: int = 4,
@@ -456,9 +567,10 @@ def bounded_search(
 
     Candidates pass one double-precision screen and are then confirmed in
     exact cyclotomic arithmetic; `match_family` decides minimality exactly
-    and a candidate it calls ``reducible`` (one with a rational proper
-    sub-combination) is dropped.  Proportional duplicates keep their
-    first-enumerated representative.
+    and a candidate it calls ``reducible`` (one whose angles carry another,
+    independent rational relation) is dropped.  Proportional duplicates
+    keep their first-enumerated representative, in the order combinations
+    of angles, then coefficient assignments, by increasing term count.
 
     The screen is a lattice test.  2*cos(pi*p/q) is an algebraic integer,
     so if every coefficient denominator divides D, a rationally valued
@@ -472,9 +584,21 @@ def bounded_search(
     (1, -1) or the default set, no irrational candidate comes closer to
     its lattice than 1.9e-8.
 
+    The screen does not visit the combinations one by one.  It meets in the
+    middle (`_screen`): halves of at most two signed terms, the right ones
+    sorted by the fractional part of ``lattice`` times their sum, and one
+    window lookup per left half.  It passes exactly the combinations the
+    one-by-one screen passes, and hands them on in the same order.
+
     Guards: ``max_q <= 30`` and at most 20,000,000 combinations, the sum
     over k <= max_terms of C(n, k) * len(coeff_set)**k for n angles; the
     latter rejects ``max_q=30`` with coefficients (1, -1) (234,875,816).
+    The combination guard is kept for correctness, not time: beyond it,
+    float coincidences pass the screen whose exact conductor exceeds
+    `CONDUCTOR_LIMIT`, so the exact stage raises `ConductorLimitError`:
+    with coefficients (1, -1) from ``max_q=25`` (cos(2pi/17) + cos(4pi/23)
+    + cos(5pi/19) + cos(8pi/25) is 1.1e-9 from Z/2, at conductor 371,450),
+    and with the default set from ``max_q=19``.
     """
     if max_q > 30:
         raise ValueError("search is desk-scale only: max_q <= 30")
@@ -497,33 +621,27 @@ def bounded_search(
 
     results: list[tuple[CJRelation, Classification]] = []
     seen_keys: set = set()
-    for k in range(1, max_terms + 1):
-        for combo in itertools.combinations(range(n), k):
-            base = [cos_values[i] for i in combo]
-            for assignment in itertools.product(range(len(coeffs)), repeat=k):
-                x = sum(scaled[j] * v for j, v in zip(assignment, base))
-                if abs(x - round(x)) > tol:
-                    continue
-                rel = CJRelation(
-                    tuple(CJTerm(coeffs[j], angles[i]) for j, i in zip(assignment, combo)),
-                    Fraction(0),
-                )
-                value = is_rational_relation(rel)
-                if value is None:
-                    continue
-                found = CJRelation(rel.terms, value)
-                lead = found.terms[0].coeff
-                key = (
-                    tuple((t.angle, t.coeff / lead) for t in found.terms),
-                    value / lead,
-                )
-                if key in seen_keys:
-                    continue
-                cls = match_family(found)
-                if cls.kind == "reducible":
-                    continue
-                seen_keys.add(key)
-                results.append((found, cls))
+    for _, combo, assignment in _screen(n, max_terms, scaled, cos_values, tol):
+        rel = CJRelation(
+            tuple(CJTerm(coeffs[j], angles[i]) for j, i in zip(assignment, combo)),
+            Fraction(0),
+        )
+        value = is_rational_relation(rel)
+        if value is None:
+            continue
+        found = CJRelation(rel.terms, value)
+        lead = found.terms[0].coeff
+        key = (
+            tuple((t.angle, t.coeff / lead) for t in found.terms),
+            value / lead,
+        )
+        if key in seen_keys:
+            continue
+        cls = match_family(found)
+        if cls.kind == "reducible":
+            continue
+        seen_keys.add(key)
+        results.append((found, cls))
     return results
 
 

@@ -108,6 +108,15 @@ def test_cj_search(capsys):
     assert all(r["kind"] == "family" for r in rows)
 
 
+def test_cj_search_split_coefficients_all_classified(capsys):
+    # cos(pi/15) + cos(pi/5) - cos(4pi/15) - 2*cos(2pi/5) = 1/2 used to be
+    # listed as unclassified; it is the sum of two smaller relations
+    code, out, _ = run(capsys, "cj", "--search", "--max-q", "15", "--coeffs=1,-1,-2")
+    assert code == 0
+    assert "unclassified" not in out
+    assert all(r["kind"] == "family" for r in json.loads(out))
+
+
 def test_cj_requires_a_mode(capsys):
     code, _, err = run(capsys, "cj")
     assert code == 2

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tracetwist
-from tracetwist.trigdioph import _has_rational_proper_subset
+from tracetwist.trigdioph import _has_rational_proper_subset, _screen, _search_angles
 from tracetwist import (
     AngleFraction,
     BoundaryTraces,
@@ -255,13 +255,111 @@ def test_bounded_search_screen_is_exhaustive(max_q, max_terms, coeffs):
     assert set(keys) == _exhaustive_search(max_q, max_terms, coeffs)
 
 
+def _screen_inputs(max_q, coeffs):
+    coeffs = tuple(Fraction(c) for c in coeffs)
+    angles = _search_angles(max_q)
+    lattice = 2 * math.lcm(*(c.denominator for c in coeffs))
+    scaled = [lattice * float(c) for c in coeffs]
+    return coeffs, angles, [a.cos() for a in angles], scaled, lattice * 1e-9
+
+
+def _brute_force_screen(n, max_terms, scaled, cos_values, tol):
+    # the one-combination-at-a-time float screen that _screen replaced
+    passes = []
+    for k in range(1, max_terms + 1):
+        for combo in itertools.combinations(range(n), k):
+            base = [cos_values[i] for i in combo]
+            for assignment in itertools.product(range(len(scaled)), repeat=k):
+                x = sum(scaled[j] * v for j, v in zip(assignment, base))
+                if abs(x - round(x)) <= tol:
+                    passes.append((k, combo, assignment))
+    return passes
+
+
+def _brute_force_search(max_q, max_terms, coeffs):
+    # the brute-force screen followed by the same exact stage
+    coeffs, angles, cos_values, scaled, tol = _screen_inputs(max_q, coeffs)
+    results, seen_keys = [], set()
+    for _, combo, assignment in _brute_force_screen(len(angles), max_terms, scaled, cos_values, tol):
+        terms = tuple(CJTerm(coeffs[j], angles[i]) for j, i in zip(assignment, combo))
+        value = is_rational_relation(CJRelation(terms, Fraction(0)))
+        if value is None:
+            continue
+        found = CJRelation(terms, value)
+        key = _proportional_key(found)
+        if key in seen_keys:
+            continue
+        cls = match_family(found)
+        if cls.kind != "reducible":
+            seen_keys.add(key)
+            results.append((found, cls))
+    return results
+
+
+_DEFAULT_COEFFS = (1, -1, Fraction(1, 2), Fraction(-1, 2), 2, -2)
+_WIDE_LATTICE = (1, -1, Fraction(1, 1000))  # tol 2e-6
+
+
+@pytest.mark.parametrize(
+    "max_q, coeffs",
+    [(q, (1, -1)) for q in range(3, 16)]
+    + [(q, _DEFAULT_COEFFS) for q in range(3, 10)]
+    + [(q, _WIDE_LATTICE) for q in range(3, 8)],
+)
+def test_bounded_search_matches_brute_force(max_q, coeffs):
+    # same results in the same order, so the same first-enumerated representatives
+    assert repr(bounded_search(max_q, 4, coeffs)) == repr(_brute_force_search(max_q, 4, coeffs))
+
+
+@pytest.mark.parametrize(
+    "max_q, max_terms, coeffs",
+    [(12, 4, (1, -1)), (8, 4, _DEFAULT_COEFFS), (7, 4, _WIDE_LATTICE), (9, 3, (1,)),
+     (6, 2, (Fraction(1, 5001), -1)), (4, 4, tuple(range(-20, 0)) + tuple(range(1, 21)))],
+)
+def test_screen_passes_the_brute_force_set_in_its_order(max_q, max_terms, coeffs):
+    _, angles, cos_values, scaled, tol = _screen_inputs(max_q, coeffs)
+    args = (len(angles), max_terms, scaled, cos_values, tol)
+    assert _screen(*args) == _brute_force_screen(*args)
+
+
+def test_bounded_search_largest_pm1_input_is_classified():
+    # the largest (1, -1) search the combination guard admits (19M combinations)
+    found = bounded_search(22, 4, (1, -1))
+    assert found and all(cls.kind == "family" for _, cls in found)
+    with pytest.raises(ValueError, match="desk scale"):
+        bounded_search(23, 4, (1, -1))
+
+
+def test_split_coefficient_relation_is_reducible():
+    # [cos(pi/15) - cos(4pi/15) - cos(2pi/5) = 0] + [cos(pi/5) - cos(2pi/5) = 1/2];
+    # no sub-sum with the relation's own coefficients is rational
+    rel = CJRelation.make([(1, 1, 15), (1, 1, 5), (-1, 4, 15), (-2, 2, 5)], Fraction(1, 2))
+    assert is_rational_relation(rel) == Fraction(1, 2)
+    assert match_family(rel).kind == "reducible"
+    assert _has_rational_proper_subset(normalize(rel).terms)
+
+
+def test_search_with_split_coefficients_has_no_unclassified_result():
+    found = bounded_search(15, 4, (1, -1, -2))
+    assert found and all(cls.kind == "family" for _, cls in found)
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 12), Fraction(1, 15), Fraction(1, 9), Fraction(2, 15)])
+def test_conway_jones_list_is_minimal(t):
+    for index, rel in enumerate(conway_jones_list(t), start=1):
+        assert not _has_rational_proper_subset(rel.terms)
+        cls = match_family(rel)
+        assert cls.kind == "family" and cls.family == index
+
+
 def test_package_import_leaves_mpmath_unloaded():
     src = str(Path(tracetwist.__file__).resolve().parents[1])
-    code = "import sys, tracetwist, tracetwist.cli; print('mpmath' in sys.modules)"
+    # nor the array extension, which only the relation search uses
+    code = "import sys, tracetwist, tracetwist.cli; print('mpmath' in sys.modules, 'array' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_conductor_guard():
