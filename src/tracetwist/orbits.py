@@ -68,10 +68,17 @@ def _snap_key(c, snap: float) -> tuple[int, int, int]:
 
 
 class _BoxIndex:
-    """Grid hash over float (x, y, z) tuples for neighbor queries in the box metric."""
+    """Grid hash over float (x, y, z) tuples for neighbor queries in the box metric.
 
-    def __init__(self, cell: float):
-        self.cell = cell
+    A query of radius at most ``radius`` looks at the 27 cells around the
+    query point.  The cells are slightly wider than ``radius``, so that a
+    point closer than ``radius`` is at most one cell away even after the
+    rounding in ``floor(x / cell)``; with cells exactly ``radius`` wide it
+    can land two cells away and be missed.
+    """
+
+    def __init__(self, radius: float):
+        self.cell = radius * (1 + 1e-6)
         self.buckets: dict[tuple[int, int, int], list[tuple]] = defaultdict(list)
 
     def _key(self, p: tuple) -> tuple[int, int, int]:
@@ -431,12 +438,11 @@ def density_scan(
             points.append(current)
             last_new = step
 
-    index = _BoxIndex(eps)
+    radius = eps * (1 + 1e-12)
+    index = _BoxIndex(radius)
     for pt in points:
         index.add(pt)
-    covered = sum(
-        1 for gp in grid_points if index.any_within(gp.as_tuple(), eps * (1 + 1e-12))
-    )
+    covered = sum(1 for gp in grid_points if index.any_within(gp.as_tuple(), radius))
     return DensityReport(
         covered_fraction=covered / len(grid_points),
         truncated=last_new >= 0.9 * budget,

@@ -25,11 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .angles import AngleFraction
-from .scalars import EXACT, MixedModeError, as_fraction
+from .scalars import EXACT, as_fraction
 from .surface import BoundaryTraces
 
 CONDUCTOR_LIMIT = 10_000
-_ZERO = Fraction(0)
 
 
 class ConductorLimitError(ValueError):
@@ -74,11 +73,11 @@ def _phi(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
-def _reduce(conductor: int, dense: list[int], den: int) -> tuple[Fraction, ...]:
-    """Coordinates of sum_k dense[k] * z^k / den for integer dense[k] and den.
+def _reduce(conductor: int, dense: list[int]) -> list[int]:
+    """Integer coordinates of sum_k dense[k] * z^k for integer dense[k].
 
-    Exponents fold mod the conductor (z^L = 1), one synthetic division by
-    Phi_L runs on the integers, and the Fractions are built once at the end.
+    Exponents fold mod the conductor (z^L = 1) and one synthetic division by
+    Phi_L runs on the integers.
     """
     phi = cyclotomic_poly(conductor)
     m = len(phi) - 1
@@ -91,16 +90,10 @@ def _reduce(conductor: int, dense: list[int], den: int) -> tuple[Fraction, ...]:
         if c:
             for j, t in taps:
                 vec[e - m + j] -= c * t
-    return tuple(Fraction(c, den) if c else _ZERO for c in vec[:m])
+    return vec[:m]
 
 
-def _numerators(coords: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer numerators of the coordinates over their least common denominator."""
-    den = math.lcm(*(c.denominator for c in coords))
-    return [c.numerator * (den // c.denominator) for c in coords], den
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class CycloElement:
     """An element of the cyclotomic field of the given conductor.
 
@@ -113,72 +106,94 @@ class CycloElement:
     >>> a = cos_pi(AngleFraction(1, 3))
     >>> a == a.promote(12), (a - a.promote(12)).is_zero()
     (False, True)
+
+    The coordinates are carried as integer numerators ``nums`` over one
+    denominator ``den > 0`` with ``gcd(den, *nums) == 1``, a canonical form,
+    so all arithmetic runs on integers; ``coords`` builds the Fractions when
+    it is read.
     """
 
     conductor: int
-    coords: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        # Kept to a length check and a type scan: the kernel builds an
-        # element per arithmetic result.
-        if len(self.coords) != _phi(self.conductor):
+    def __init__(self, conductor: int, coords) -> None:
+        coords = tuple(coords)
+        if len(coords) != _phi(conductor):
             raise ValueError(
-                f"conductor {self.conductor} takes {_phi(self.conductor)} coordinates, "
-                f"got {len(self.coords)}"
+                f"conductor {conductor} takes {_phi(conductor)} coordinates, "
+                f"got {len(coords)}"
             )
-        if float in map(type, self.coords):
-            raise MixedModeError("CycloElement coordinates are exact; got a float")
+        coords = [as_fraction(c) for c in coords]  # refuses floats
+        den = math.lcm(*(c.denominator for c in coords))
+        self._canonical(conductor, [c.numerator * (den // c.denominator) for c in coords], den)
+
+    def _canonical(self, conductor: int, nums: list[int], den: int) -> "CycloElement":
+        # The one constructor: sum_j nums[j] * z^j / den (den > 0), reduced by one gcd.
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        return self
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    def __repr__(self) -> str:
+        return f"CycloElement(conductor={self.conductor!r}, coords={self.coords!r})"
 
     @classmethod
     def zero(cls, conductor: int) -> "CycloElement":
-        return cls(conductor, (Fraction(0),) * _phi(conductor))
+        return _element(conductor, [0] * _phi(conductor), 1)
 
     @classmethod
     def from_rational(cls, conductor: int, value) -> "CycloElement":
-        coords = [as_fraction(value)] + [_ZERO] * (_phi(conductor) - 1)
-        return cls(conductor, tuple(coords))
+        value = as_fraction(value)
+        nums = [value.numerator] + [0] * (_phi(conductor) - 1)
+        return _element(conductor, nums, value.denominator)
 
     @classmethod
     def root_power(cls, conductor: int, k: int) -> "CycloElement":
         """The root of unity z^k."""
         _guard_conductor(conductor)
-        return cls(conductor, _reduce(conductor, [0] * (k % conductor) + [1], 1))
+        return _element(conductor, _reduce(conductor, [0] * (k % conductor) + [1]), 1)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction | None:
-        return self.coords[0] if self.is_rational() else None
+        return Fraction(self.nums[0], self.den) if self.is_rational() else None
 
     def __add__(self, other: "CycloElement") -> "CycloElement":
-        a, b = _common(self, other)
-        return CycloElement(a.conductor, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return _linear(self, other, 1)
 
     def __sub__(self, other: "CycloElement") -> "CycloElement":
-        a, b = _common(self, other)
-        return CycloElement(a.conductor, tuple(x - y for x, y in zip(a.coords, b.coords)))
+        return _linear(self, other, -1)
 
     def __neg__(self) -> "CycloElement":
-        return CycloElement(self.conductor, tuple(-x for x in self.coords))
+        return _element(self.conductor, [-x for x in self.nums], self.den)
 
     def scale(self, factor) -> "CycloElement":
         factor = as_fraction(factor)
-        return CycloElement(self.conductor, tuple(factor * x if x else x for x in self.coords))
+        n = factor.numerator
+        return _element(self.conductor, [n * x for x in self.nums], self.den * factor.denominator)
 
     def __mul__(self, other: "CycloElement") -> "CycloElement":
         a, b = _common(self, other)
-        xs, dx = _numerators(a.coords)
-        ys, dy = _numerators(b.coords)
-        ys = [(j, y) for j, y in enumerate(ys) if y]
-        dense = [0] * (2 * len(xs) - 1)
-        for i, x in enumerate(xs):
+        ys = [(j, y) for j, y in enumerate(b.nums) if y]
+        dense = [0] * (2 * len(a.nums) - 1)
+        for i, x in enumerate(a.nums):
             if x:
                 for j, y in ys:
                     dense[i + j] += x * y
-        return CycloElement(a.conductor, _reduce(a.conductor, dense, dx * dy))
+        return _element(a.conductor, _reduce(a.conductor, dense), a.den * b.den)
 
     def promote(self, conductor: int) -> "CycloElement":
         """Embed into the field of a larger conductor (a multiple of ours)."""
@@ -187,11 +202,9 @@ class CycloElement:
         _guard_conductor(conductor)
         if conductor % self.conductor:
             raise ValueError("can only promote to a multiple of the conductor")
-        step = conductor // self.conductor
-        xs, den = _numerators(self.coords)
         dense = [0] * conductor
-        dense[::step] = xs + [0] * (self.conductor - len(xs))
-        return CycloElement(conductor, _reduce(conductor, dense, den))
+        dense[:: conductor // self.conductor] = self.nums + (0,) * (self.conductor - len(self.nums))
+        return _element(conductor, _reduce(conductor, dense), self.den)
 
     def numeric(self, dps: int = 50):
         """High-precision numeric value (mpmath real part)."""
@@ -200,10 +213,23 @@ class CycloElement:
         with mpmath.workdps(dps):
             z = mpmath.e ** (2j * mpmath.pi / self.conductor)
             total = mpmath.mpc(0)
-            for j, x in enumerate(self.coords):
+            for j, x in enumerate(self.nums):
                 if x:
-                    total += mpmath.mpf(x.numerator) / x.denominator * z**j
-            return total.real
+                    total += mpmath.mpf(x) * z**j
+            return total.real / self.den
+
+
+def _element(conductor: int, nums: list[int], den: int) -> CycloElement:
+    """The element sum_j nums[j] * z^j / den (den > 0), in canonical form."""
+    return object.__new__(CycloElement)._canonical(conductor, nums, den)
+
+
+def _linear(a: CycloElement, b: CycloElement, sign: int) -> CycloElement:
+    """a + sign*b over the lcm of the two denominators."""
+    a, b = _common(a, b)
+    den = math.lcm(a.den, b.den)
+    ma, mb = den // a.den, sign * (den // b.den)
+    return _element(a.conductor, [x * ma + y * mb for x, y in zip(a.nums, b.nums)], den)
 
 
 def _common(a: CycloElement, b: CycloElement) -> tuple[CycloElement, CycloElement]:
@@ -245,7 +271,7 @@ def _cosine_sum(L: int, pairs, rhs) -> CycloElement:
         k = angle.p * (L // (2 * angle.q))
         dense[k % L] += n
         dense[-k % L] += n
-    return CycloElement(L, _reduce(L, dense, 2 * D))
+    return _element(L, _reduce(L, dense), 2 * D)
 
 
 @dataclass(frozen=True)
@@ -416,7 +442,7 @@ def _has_rational_proper_subset(terms: tuple[CJTerm, ...]) -> bool:
     """
     L = CJRelation(terms).conductor()
     one = [1] + [0] * (_phi(L) - 1)
-    rows = [one] + [_numerators(cos_pi(t.angle, L).coords)[0] for t in terms]
+    rows = [one] + [cos_pi(t.angle, L).nums for t in terms]
     return _rank(rows) < len(terms)
 
 
@@ -665,26 +691,16 @@ def eqcos_residual(
     if B.mode != EXACT:
         raise ValueError("sigma_x must be exactly rational; use exact-mode boundary traces")
     theta_x, theta_y, theta_z, theta_xy = thetas
-    rel = CJRelation(
-        (
-            CJTerm(Fraction(1), theta_xy),
-            CJTerm(Fraction(1), theta_z + theta_y),
-            CJTerm(Fraction(1), theta_z - theta_y),
-            CJTerm(Fraction(1), theta_x),
-        ),
-        B.sigma_x / 2,
-    )
-    value = eval_exact(rel)
+    angles = (theta_xy, theta_z + theta_y, theta_z - theta_y, theta_x)
+    L = math.lcm(*(2 * a.q for a in angles))
+    _guard_conductor(L)
+    value = _cosine_sum(L, [(1, a) for a in angles], B.sigma_x / 2)
     if value.is_zero():
-        L = math.lcm(rel.conductor(), 2 * theta_y.q, 2 * theta_z.q)
-        lhs = cos_pi(theta_xy, L).scale(2)
-        two = Fraction(2)
-        rhs = (
-            CycloElement.from_rational(L, B.sigma_x)
-            - cos_pi(theta_y, L).scale(two) * cos_pi(theta_z, L).scale(two)
-            - cos_pi(theta_x, L).scale(two)
-        )
-        if not (lhs - rhs).is_zero():
+        L = math.lcm(L, 2 * theta_y.q, 2 * theta_z.q)
+        product = cos_pi(theta_y, L) * cos_pi(theta_z, L)  # guards L
+        # 2cos(theta_xy) + 2cos(theta_x) - sigma_x + 2cos(theta_y)*2cos(theta_z)
+        linear = _cosine_sum(L, ((2, theta_xy), (2, theta_x)), B.sigma_x)
+        if not (linear + product.scale(4)).is_zero():
             raise RuntimeError("trace identity cross-check failed")
     rational = value.rational_value()
     return rational if rational is not None else value

@@ -27,6 +27,7 @@ from tracetwist import (
     rational_angle_of,
     twist_period,
 )
+from tracetwist.orbits import _BoxIndex
 from tracetwist.twists import GENERATORS
 from conftest import MINIMAL_SURFACE_POINT
 
@@ -330,3 +331,40 @@ def test_density_scan_eps_beyond_surface_diameter(exceptional_B):
     # the whole exceptional surface fits inside one 0.5-ball
     report = density_scan(exceptional_B, TracePoint(-1.0, 0.0, 0.0), eps=0.5, budget=2000)
     assert report.covered_fraction == 1.0
+
+
+def test_box_index_finds_a_neighbour_across_two_cell_edges():
+    # p is 0.10000000000006 from q in the box metric, two 0.1-wide cells
+    # away; density_scan queries at eps*(1 + 1e-12), and this used to miss it
+    q = (0.1 * (1 - 0.25e-12), 0.05, 0.05)
+    p = (q[0] + 0.1 * (1 + 0.6e-12), 0.05, 0.05)
+    index = _BoxIndex(0.1)
+    index.add(p)
+    assert max(abs(a - b) for a, b in zip(p, q)) < 0.1 * (1 + 1e-12)
+    assert index.any_within(q, 0.1 * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("radius", [0.1, 1 / 3, 0.03, 2.5e-4])
+def test_box_index_matches_brute_force_at_cell_edges(radius):
+    # points and queries within a few ulps of cell edges, at distances within
+    # a few ulps of the radius: the index must answer like a linear scan
+    rng = random.Random(7)
+
+    def near_edge():
+        x = rng.randrange(-40, 40) * radius
+        for _ in range(rng.randrange(8)):
+            x = math.nextafter(x, rng.choice((-math.inf, math.inf)))
+        return x
+
+    points = []
+    for _ in range(300):
+        base = (near_edge(), rng.uniform(-1, 1), rng.uniform(-1, 1))
+        points.append(base)
+        step = radius * (1 + rng.choice((-1, 1)) * rng.randrange(4) * 1e-15)
+        points.append((base[0] + rng.choice((-1, 1)) * step, base[1], base[2]))
+    index = _BoxIndex(radius)
+    for pt in points[1::2]:
+        index.add(pt)
+    for q in points[::2]:
+        brute = any(max(abs(a - b) for a, b in zip(q, pt)) < radius for pt in points[1::2])
+        assert index.any_within(q, radius) == brute

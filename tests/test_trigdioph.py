@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import subprocess
@@ -373,11 +374,13 @@ def test_conductor_guard():
         lambda: cos_pi(AngleFraction(1, 3), 0),
         lambda: CycloElement.root_power(0, 1),
         lambda: cos_pi(AngleFraction(1, 3), -6),
+        lambda: CycloElement(0, ()),
+        lambda: CycloElement.zero(-3),
     ],
-    ids=["cos_pi-0", "root_power-0", "cos_pi-negative"],
+    ids=["cos_pi-0", "root_power-0", "cos_pi-negative", "constructor-0", "zero-negative"],
 )
 def test_conductor_must_be_positive(build):
-    # these raised ZeroDivisionError, ZeroDivisionError and IndexError
+    # the first three raised ZeroDivisionError, ZeroDivisionError and IndexError
     with pytest.raises(ValueError, match="conductor must be positive"):
         build()
 
@@ -609,6 +612,144 @@ def test_cyclo_element_small_algebra():
         a.promote(15)  # not a multiple of the conductor
     b = cos_pi(AngleFraction(1, 3))
     assert (a * b - b * a).is_zero()  # commutes across promotion to lcm
+
+
+# Reference: the Fraction-tuple arithmetic that CycloElement used before it
+# carried integer numerators.  An element is (conductor, coords) with coords
+# a tuple of Fractions over the power basis.
+
+
+def _ref_reduce(L, dense, den):
+    phi = cyclotomic_poly(L)
+    m = len(phi) - 1
+    vec = dense[:L] + [0] * (L - len(dense))
+    for k in range(L, len(dense)):
+        vec[k % L] += dense[k]
+    for e in range(L - 1, m - 1, -1):
+        c = vec[e]
+        if c:
+            for j, t in enumerate(phi[:m]):
+                vec[e - m + j] -= c * t
+    return tuple(Fraction(c, den) for c in vec[:m])
+
+
+def _ref_numerators(coords):
+    den = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
+def _ref_promote(a, M):
+    L, coords = a
+    if M == L:
+        return a
+    xs, den = _ref_numerators(coords)
+    dense = [0] * M
+    dense[:: M // L] = xs + [0] * (L - len(xs))
+    return M, _ref_reduce(M, dense, den)
+
+
+def _ref_common(a, b):
+    M = math.lcm(a[0], b[0])
+    return _ref_promote(a, M), _ref_promote(b, M)
+
+
+def _ref_add(a, b, sign=1):
+    (L, xs), (_, ys) = _ref_common(a, b)
+    return L, tuple(x + sign * y for x, y in zip(xs, ys))
+
+
+def _ref_mul(a, b):
+    (L, xs), (_, ys) = _ref_common(a, b)
+    xs, dx = _ref_numerators(xs)
+    ys, dy = _ref_numerators(ys)
+    dense = [0] * (2 * len(xs) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            dense[i + j] += x * y
+    return L, _ref_reduce(L, dense, dx * dy)
+
+
+_CONDUCTORS = (1, 2, 5, 12, 24, 60, 84, 120)
+
+
+@st.composite
+def _elements(draw):
+    # random coordinates, often sparse, so that zero and rational elements occur
+    L = draw(st.sampled_from(_CONDUCTORS))
+    n = len(cyclotomic_poly(L)) - 1
+    coord = st.one_of(st.just(Fraction(0)), _small_fractions, st.integers(-50, 50))
+    head = draw(coord)
+    tail = draw(st.one_of(st.just([0] * (n - 1)), st.lists(coord, min_size=n - 1, max_size=n - 1)))
+    return L, (head, *tail)
+
+
+def _check_against_reference(element, ref):
+    assert (element.conductor, element.coords) == ref
+    assert all(isinstance(c, Fraction) for c in element.coords)
+    assert math.gcd(element.den, *element.nums) == 1 and element.den > 0
+    assert element.is_zero() == all(c == 0 for c in ref[1])
+    assert element.is_rational() == all(c == 0 for c in ref[1][1:])
+    assert element.rational_value() == (ref[1][0] if element.is_rational() else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_elements(), _elements(), _small_fractions, st.sampled_from([1, 2, 3, 5, 7]))
+def test_integer_carrier_matches_fraction_reference(a, b, factor, multiple):
+    x, y = CycloElement(*a), CycloElement(*b)
+    ra = (a[0], tuple(map(Fraction, a[1])))
+    rb = (b[0], tuple(map(Fraction, b[1])))
+    _check_against_reference(x, ra)
+    _check_against_reference(x + y, _ref_add(ra, rb))
+    _check_against_reference(x - y, _ref_add(ra, rb, -1))
+    _check_against_reference(x - x, (x.conductor, (Fraction(0),) * len(ra[1])))
+    _check_against_reference(-x, (ra[0], tuple(-c for c in ra[1])))
+    _check_against_reference(x * y, _ref_mul(ra, rb))
+    _check_against_reference(x.scale(factor), (ra[0], tuple(factor * c for c in ra[1])))
+    _check_against_reference(x.scale(0), (ra[0], (Fraction(0),) * len(ra[1])))
+    M = x.conductor * multiple
+    _check_against_reference(x.promote(M), _ref_promote(ra, M))
+
+
+def test_cyclo_element_equal_values_hash_alike():
+    a = cos_pi(AngleFraction(1, 6))
+    assert a.coords == (0, 1, 0, Fraction(-1, 2))
+    routes = [
+        CycloElement(12, (0, Fraction(2, 2), Fraction(0, 7), Fraction(-2, 4))),
+        CycloElement(12, ["0", "1", 0, "-3/6"]),
+        (a + a).scale(Fraction(1, 2)),
+        cos_pi(AngleFraction(1, 3)) * a.scale(2),
+        CycloElement.root_power(12, 1) + CycloElement.root_power(12, -1) - a,
+    ]
+    for b in routes:
+        assert b == a and hash(b) == hash(a)
+        assert (b.nums, b.den) == ((0, 2, 0, -1), 2)
+    assert len({a, *routes}) == 1
+    half = CycloElement.from_rational(12, Fraction(1, 2))
+    assert cos_pi(AngleFraction(1, 3)).promote(12) == half
+    assert hash(cos_pi(AngleFraction(1, 3)).promote(12)) == hash(half)
+    # same value, other conductor: a different element
+    assert cos_pi(AngleFraction(1, 3)) != half
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.den = 3
+
+
+def test_cyclo_element_repr_is_unchanged():
+    assert repr(cos_pi(AngleFraction(1, 6))) == (
+        "CycloElement(conductor=12, coords=(Fraction(0, 1), Fraction(1, 1), "
+        "Fraction(0, 1), Fraction(-1, 2)))"
+    )
+    assert repr(CycloElement.zero(1)) == "CycloElement(conductor=1, coords=(Fraction(0, 1),))"
+    assert repr(cos_pi(AngleFraction(1, 5)).scale(Fraction(2, 3))) == (
+        "CycloElement(conductor=10, coords=(Fraction(1, 3), Fraction(0, 1), "
+        "Fraction(1, 3), Fraction(-1, 3)))"
+    )
+
+
+def test_cyclo_element_zero_is_canonical():
+    a = cos_pi(AngleFraction(2, 7))
+    for zero in (CycloElement.zero(14), a - a, a.scale(0), CycloElement(14, (Fraction(0, 5),) * 6)):
+        assert (zero.nums, zero.den) == ((0,) * 6, 1)
+        assert zero == CycloElement.zero(14)
 
 
 def test_default_coeff_search_collapses_proportional_duplicates():
