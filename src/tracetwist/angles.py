@@ -63,13 +63,13 @@ class AngleFraction:
         return self
 
     def __add__(self, other: "AngleFraction") -> "AngleFraction":
-        return AngleFraction.from_fraction(self.fraction + other.fraction)
+        return AngleFraction(self.p * other.q + other.p * self.q, self.q * other.q)
 
     def __sub__(self, other: "AngleFraction") -> "AngleFraction":
-        return AngleFraction.from_fraction(self.fraction - other.fraction)
+        return AngleFraction(self.p * other.q - other.p * self.q, self.q * other.q)
 
     def __neg__(self) -> "AngleFraction":
-        return AngleFraction.from_fraction(-self.fraction)
+        return AngleFraction(-self.p, self.q)
 
     def __eq__(self, other):
         if not isinstance(other, AngleFraction):
@@ -79,7 +79,7 @@ class AngleFraction:
     def __lt__(self, other):
         if not isinstance(other, AngleFraction):
             return NotImplemented
-        return self.fraction < other.fraction
+        return self.p * other.q < other.p * self.q
 
     def __hash__(self):
         return hash((self.p, self.q))

@@ -116,7 +116,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     B, p0 = args.traces, args.point
     if args.word:
         p0 = apply_word(B, p0, TwistWord.parse(args.word))
-    result = enumerate_orbit(B, p0, args.budget, log_words=args.log_words)
+    result = enumerate_orbit(B, p0, args.budget)
     csv_text = _orbit_csv(result.points, args.mode)
     summary = {
         "status": result.status,
@@ -283,7 +283,6 @@ def _build_parser(argv) -> argparse.ArgumentParser:
         mode=mode,
         word={"help": "twist word applied to the start point first, e.g. XYz"},
         out={"help": "CSV output path (default: CSV on stdout)"},
-        log_words={"action": "store_true"},
     )
     add(
         cmd_scan,

@@ -62,6 +62,10 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be positive and finite, not {eps}")
 
 
+# Float dedup grid of enumerate_orbit; keep it far below any epsilon under test.
+_SNAP = 1e-9
+
+
 def _snap_key(c, snap: float) -> tuple[int, int, int]:
     """Float dedup key: the coordinate tuple c rounded to a grid of size snap."""
     return (round(c[0] / snap), round(c[1] / snap), round(c[2] / snap))
@@ -88,15 +92,14 @@ class _BoxIndex:
     def add(self, p: tuple) -> None:
         self.buckets[self._key(p)].append(p)
 
-    def any_within(self, p: tuple, eps: float, exclude_self: bool = False) -> bool:
+    def any_within(self, p: tuple, eps: float) -> bool:
         x, y, z = p
         kx, ky, kz = self._key(p)
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 for dz in (-1, 0, 1):
                     for q in self.buckets.get((kx + dx, ky + dy, kz + dz), ()):
-                        d = max(abs(x - q[0]), abs(y - q[1]), abs(z - q[2]))
-                        if d < eps and (d > 0 or not exclude_self):
+                        if max(abs(x - q[0]), abs(y - q[1]), abs(z - q[2])) < eps:
                             return True
         return False
 
@@ -130,13 +133,12 @@ def enumerate_orbit(
     p0: TracePoint,
     budget: int,
     log_words: bool = False,
-    snap: float = 1e-9,
 ) -> OrbitResult:
     """Breadth-first closure of p0 under all six twist generators.
 
     `budget` bounds the number of points retained.  Exact mode
     deduplicates by exact coordinates; float mode snaps coordinates to a
-    grid of size `snap` (keep this far below any epsilon under test).
+    grid of size 1e-9.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -148,7 +150,7 @@ def enumerate_orbit(
     moves = [(g.letter, _STEPS[g]) for g in GENERATORS]
 
     # Dedup key -> kept coordinates; exact keys are the canonical integer forms.
-    visited = {start if exact else _snap_key(start, snap): start}
+    visited = {start if exact else _snap_key(start, _SNAP): start}
     words = {start: ""} if log_words else None
     queue = deque([start])
     truncated = False
@@ -156,7 +158,7 @@ def enumerate_orbit(
         c = queue.popleft()
         for letter, steps in moves:
             img = kernel(sigma, c, steps)
-            k = img if exact else _snap_key(img, snap)
+            k = img if exact else _snap_key(img, _SNAP)
             if k in visited:
                 continue
             if len(visited) >= budget:
@@ -245,11 +247,21 @@ def rational_angle_of(
     return None
 
 
+def _in_family_F(a: Scalar, c: Scalar) -> bool:
+    """Is (a, a, c, -c) in the exceptional family F?  a and c share one mode.
+
+    Both traces lie in (-2, 2) (else ValueError), a^2 + c^2 > 4, and at
+    least one boundary rotation number acos(./2)/pi is irrational, decided
+    by :func:`rational_angle_of` (Niven's theorem for exact traces).
+    """
+    _check_open_range("a", a)
+    _check_open_range("c", c)
+    return a * a + c * c > 4 and (rational_angle_of(a) is None or rational_angle_of(c) is None)
+
+
 def _is_fixed(B: BoundaryTraces, p: TracePoint, g: TwistGenerator) -> bool:
-    if p.mode == EXACT:
-        c = _to_integers(p)
-        return _twist_exact(B._integer_form, c, _STEPS[g]) == c
-    return box_distance(apply_generator(B, p, g), p) <= 1e-12
+    tol = 0 if p.mode == EXACT else 1e-12
+    return box_distance(apply_generator(B, p, g), p) <= tol
 
 
 def twist_period(
@@ -269,12 +281,9 @@ def twist_period(
     if angle is None:
         return None
     period = angle.q
-    cur = apply_word(B, p, TwistWord((g,) * period))
-    if p.mode == EXACT:
-        if cur != p:
-            raise RuntimeError(f"period {period} failed to verify exactly")
-    elif box_distance(cur, p) > TOL_GEOM:
-        raise RuntimeError(f"period {period} drifted beyond tolerance")
+    drift = box_distance(apply_word(B, p, TwistWord((g,) * period)), p)
+    if drift > (0 if p.mode == EXACT else TOL_GEOM):
+        raise RuntimeError(f"period {period} failed to verify: box drift {drift}")
     return period
 
 
@@ -289,7 +298,7 @@ def epsilon_density_on_level(
 
     Tested against a deterministic angular reference grid with arc step at
     most eps/4; every grid point must have an orbit point strictly within
-    eps (and strictly away from itself) in the box metric.
+    eps in the box metric.
     """
     _check_eps(eps)
     geom = level_set(B.to_float(), axis, float(level))
@@ -303,35 +312,36 @@ def epsilon_density_on_level(
         index.add(pt.to_float().as_tuple())
     for j in range(n_grid):
         gp = geom.point_at_angle(2 * math.pi * j / n_grid).as_tuple()
-        if not index.any_within(gp, eps, exclude_self=True):
+        if not index.any_within(gp, eps):
             return False
     return True
-
-
-def _circumference_bound(B: BoundaryTraces, samples: int = 512) -> float:
-    """Crude uniform bound on the box-metric circumference of any level slice."""
-    Bf = B.to_float()
-    best = 0.0
-    for axis in Axis:
-        lo, hi = level_range(Bf, axis)
-        for i in range(samples):
-            level = lo + (hi - lo) * (i + 0.5) / samples
-            geom = level_set(Bf, axis, level)
-            if not geom.is_ellipse:
-                continue
-            best = max(best, sum(geom.semi_axes()))
-    return 8.0 * best
 
 
 def N_of_epsilon(B: BoundaryTraces, eps: float) -> int:
     """Period threshold beyond which every periodic slice orbit is eps-dense.
 
-    Any level 2cos(pi p/q) with q > N places q equally spaced points on
-    its slice ellipse, at gaps below the circumference bound over q, hence
-    below eps.
+    This covers slices at levels inside the attainable range S of their
+    axis, on the component :func:`classify` reports; ellipse slices at
+    other levels lie on other components and may be far larger.
+
+    N = ceil(pi * max over axes of (|S_1| + |S_2|) / eps) + 1, where S_1 and
+    S_2 are the attainable ranges (:func:`level_range`) of the two
+    coordinates the axis twist moves.  Proof, for a slice orbit of period
+    q > N on an ellipse with semi-axes A, D (:meth:`semi_axes`):
+
+    1. its q points are equally spaced, 2*pi/q apart, in the rotation-frame
+       angle, which is the ellipse parameter of :meth:`point_at_angle`;
+    2. in the box metric a point moves at most (A + D)/2 per unit of that
+       angle;
+    3. the slice lies in S_1 x S_2, so the sum and the difference of its
+       moving coordinates each range over at most |S_1| + |S_2|, that is
+       2A and 2D are at most |S_1| + |S_2|, and so A + D <= |S_1| + |S_2|;
+    4. hence neighbouring points are at most pi * (|S_1| + |S_2|) / q < eps
+       apart.
     """
     _check_eps(eps)
-    return math.ceil(_circumference_bound(B) / eps) + 1
+    widths = [hi - lo for lo, hi in (level_range(B, axis) for axis in Axis)]
+    return math.ceil(math.pi * (sum(widths) - min(widths)) / eps) + 1
 
 
 def minimality_criterion(B: BoundaryTraces) -> bool:
@@ -359,25 +369,18 @@ def exceptional_family(
     generators before returning.
     """
     mode, (a, c) = unify(a, c)
-    _check_open_range("a", a)
-    _check_open_range("c", c)
-    if not (a * a + c * c > 4):
-        raise ValueError("need a^2 + c^2 > 4")
-    if rational_angle_of(a) is not None and rational_angle_of(c) is not None:
-        raise ValueError("need an irrational rotation number on the boundary")
+    if not _in_family_F(a, c):
+        raise ValueError(
+            "need a^2 + c^2 > 4 and an irrational rotation number on the boundary"
+        )
     B = BoundaryTraces(a, a, c, -c)
     orbit = frozenset({TracePoint(a * a - 2, 0, 0), TracePoint(2 - c * c, 0, 0)})
-    if mode == EXACT:
-        forms = {_to_integers(pt) for pt in orbit}
-        closed = all(
-            _twist_exact(B._integer_form, c, _STEPS[g]) in forms for c in forms for g in GENERATORS
-        )
-    else:
-        closed = all(
-            any(box_distance(apply_generator(B, pt, g), q) <= TOL_SURFACE for q in orbit)
-            for pt in orbit
-            for g in GENERATORS
-        )
+    tol = 0 if mode == EXACT else TOL_SURFACE
+    closed = all(
+        any(box_distance(apply_generator(B, pt, g), q) <= tol for q in orbit)
+        for pt in orbit
+        for g in GENERATORS
+    )
     if not closed:
         raise RuntimeError("special orbit failed closure under the twists")
     return B, orbit

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .orbits import rational_angle_of
+from .orbits import _in_family_F
 from .scalars import as_fraction
-from .surface import BoundaryTraces, TracePoint, _check_open_range, kappa
+from .surface import BoundaryTraces, TracePoint, kappa
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,7 @@ def is_in_F(a: Fraction, c: Fraction) -> bool:
     by Niven's theorem a rational trace in (-2, 2) rotates rationally only
     at 0 and +-1.
     """
-    a, c = as_fraction(a), as_fraction(c)
-    _check_open_range("a", a)
-    _check_open_range("c", c)
-    if a * a + c * c <= 4:
-        return False
-    return rational_angle_of(a) is None or rational_angle_of(c) is None
+    return _in_family_F(as_fraction(a), as_fraction(c))
 
 
 def exceptional_representation() -> RepFour:

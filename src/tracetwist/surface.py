@@ -343,14 +343,13 @@ def level_set(B: BoundaryTraces, axis: Axis, level: Scalar) -> LevelSetGeometry:
     (u1, v1), (u2, v2) = B.trace_pairs(axis)
     f1 = level * level - u1 * v1 * level + u1 * u1 + v1 * v1 - 4
     f2 = level * level - u2 * v2 * level + u2 * u2 + v2 * v2 - 4
-    quarter = Fraction(1, 4) if B.mode == EXACT else 0.25
     return LevelSetGeometry(
         axis=axis,
         level=level,
         center_sum=(u1 + v1) * (v2 + u2) / (2 + level),
         center_diff=(u1 - v1) * (v2 - u2) / (2 - level),
-        weight_sum=(2 + level) * quarter,
-        weight_diff=(2 - level) * quarter,
+        weight_sum=(2 + level) / 4,
+        weight_diff=(2 - level) / 4,
         rhs=f1 * f2 / (4 - level * level),
     )
 

@@ -269,3 +269,44 @@ def test_malformed_grid_names_the_flag(capsys, tmp_path, grid, source):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: argument --grid: " in captured.err
+
+
+def test_classify_float_stdout(capsys):
+    code, out, _ = run(capsys, "classify", "--mode", "float", "--traces", "1/2,1/2,1/2,1/3")
+    assert code == 0
+    assert out == (
+        '{"S": [-1.75, 1.9927398728982666], "component": "su2", '
+        '"s_const": -3.0972222222222223, "sigma_x": 0.41666666666666663, '
+        '"sigma_y": 0.41666666666666663, "sigma_z": 0.41666666666666663}\n'
+    )
+
+
+def test_orbit_float_stdout(capsys):
+    code, out, err = run(
+        capsys,
+        "orbit",
+        "--mode", "float",
+        "--traces", "1/2,1/2,1/2,1/3",
+        "--point", "0,1/2,-1.55",
+        "--budget", "7",
+    )
+    assert code == 0
+    assert out == (
+        "x,y,z\n"
+        "-0.5666666666666668,0.5,1.9666666666666668\n"
+        "0.0,-0.08333333333333337,1.9666666666666668\n"
+        "0.0,0.5,-1.55\n"
+        "0.28749999999999987,-0.08333333333333337,-1.55\n"
+        "0.5805555555555556,-0.08333333333333337,-1.5016203703703705\n"
+        "1.1916666666666667,0.5,1.3708333333333333\n"
+        "1.1916666666666667,1.76375,-1.55\n"
+    )
+    assert err == '{"budget": 7, "cardinality": 7, "status": "truncated"}\n'
+
+
+def test_orbit_has_no_log_words_flag(capsys):
+    # the flag computed words that the command never printed
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "--log-words", "--traces", "1,1,7/4,-7/4", "--point=-1,0,0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

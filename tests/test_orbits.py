@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tracetwist import (
     AngleFraction,
@@ -17,19 +18,22 @@ from tracetwist import (
     apply_generator,
     apply_word,
     box_distance,
+    classify,
     density_scan,
     enumerate_orbit,
     epsilon_density_on_level,
     exceptional_family,
     filtration,
+    level_range,
     level_set,
     minimality_criterion,
     rational_angle_of,
+    to_rotation_frame,
     twist_period,
 )
 from tracetwist.orbits import _BoxIndex
 from tracetwist.twists import GENERATORS
-from conftest import MINIMAL_SURFACE_POINT
+from conftest import MINIMAL_SURFACE_POINT, rand_boundary
 
 
 def test_box_distance_examples():
@@ -200,6 +204,13 @@ def test_epsilon_density_huge_eps(markov_B):
             epsilon_density_on_level(markov_B, orbit, Axis.Y, 0.0, eps)
 
 
+def test_epsilon_density_orbit_point_on_a_grid_point(markov_B):
+    # the reference grid starts at angle 0; an orbit point exactly there
+    # used to be skipped as if it were the grid point itself
+    point = level_set(markov_B.to_float(), Axis.Y, 0.0).point_at_angle(0.0)
+    assert epsilon_density_on_level(markov_B, [point], Axis.Y, 0.0, 100.0)
+
+
 def test_epsilon_density_degenerate_errors(exceptional_B):
     with pytest.raises(ValueError):
         epsilon_density_on_level(
@@ -216,6 +227,73 @@ def test_N_of_epsilon_bounds(markov_B):
     for eps in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="eps must be positive and finite"):
             N_of_epsilon(markov_B, eps)
+
+
+def test_N_of_epsilon_is_the_proved_threshold(markov_B, minimal_B):
+    # pi * (|S_y| + |S_z|) / eps with S = (-2, 2) on every axis
+    assert N_of_epsilon(markov_B, 0.1) == math.ceil(math.pi * 8 / 0.1) + 1 == 253
+    for B in (minimal_B, BoundaryTraces(1, 1, Fraction(7, 4), Fraction(-7, 4))):
+        widths = [hi - lo for lo, hi in (level_range(B, axis) for axis in Axis)]
+        for eps in (0.5, 0.1, 0.013):
+            expected = math.ceil(math.pi * (sum(widths) - min(widths)) / eps) + 1
+            assert N_of_epsilon(B, eps) == expected
+
+
+def _seeded_non_degenerate(seed: int, count: int):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        B = rand_boundary(rng)
+        if all(classify(B, axis)[1] is not None for axis in Axis):
+            out.append(B)
+    return out
+
+
+def test_slice_semi_axes_within_moving_ranges():
+    # step 3 of the N_of_epsilon proof: A + D <= |S_1| + |S_2|
+    checked = 0
+    for B in _seeded_non_degenerate(31, 25):
+        Bf = B.to_float()
+        widths = {axis: hi - lo for axis, (lo, hi) in ((a, level_range(B, a)) for a in Axis)}
+        for axis in Axis:
+            bound = sum(w for other, w in widths.items() if other is not axis)
+            lo, hi = level_range(B, axis)
+            for i in range(40):
+                geom = level_set(Bf, axis, lo + (hi - lo) * (i + 0.5) / 40)
+                if geom.is_ellipse:
+                    assert sum(geom.semi_axes()) <= bound
+                    checked += 1
+    assert checked > 2000
+
+
+def _first_levels_above(B, axis, N: int, count: int):
+    """(q, 2cos(pi p/q)) for the first `count` periods q > N with a level inside S."""
+    lo, hi = level_range(B, axis)
+    margin = 0.02 * (hi - lo)
+    out = []
+    q = N
+    while len(out) < count:
+        q += 1
+        p = next((p for p in range(1, q) if math.gcd(p, q) == 1
+                  and lo + margin < 2 * math.cos(math.pi * p / q) < hi - margin), None)
+        if p is not None:
+            out.append((q, 2 * math.cos(math.pi * p / q)))
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.2])
+def test_N_of_epsilon_neighbour_gaps_below_eps(markov_B, minimal_B, eps):
+    # every gap between neighbours in angle of a period-q slice orbit, q > N
+    instances = [markov_B, minimal_B, *_seeded_non_degenerate(8, 3)]
+    for B in instances:
+        Bf = B.to_float()
+        N = N_of_epsilon(B, eps)
+        for axis in Axis:
+            for q, level in _first_levels_above(Bf, axis, N, 2):
+                orbit = _slice_orbit(Bf, axis, level, q)
+                orbit.sort(key=lambda pt: to_rotation_frame(Bf, pt, axis).angle)
+                gaps = [box_distance(u, v) for u, v in zip(orbit, orbit[1:] + orbit[:1])]
+                assert max(gaps) < eps
 
 
 def test_N_of_epsilon_guarantee(markov_B):
@@ -318,6 +396,21 @@ def test_word_log_on_truncated_orbit(minimal_B):
     for point, word in result.words.items():
         regenerated = apply_word(minimal_B, MINIMAL_SURFACE_POINT, TwistWord.parse(word))
         assert regenerated == point
+
+
+_ANGLES = st.tuples(st.integers(-60, 60), st.integers(1, 30))
+
+
+@given(_ANGLES, _ANGLES)
+def test_angle_fraction_arithmetic_matches_fractions_mod_2(u, v):
+    a, b = AngleFraction(*u), AngleFraction(*v)
+    fa, fb = Fraction(*u) % 2, Fraction(*v) % 2
+    assert (a.p, a.q) == (fa.numerator, fa.denominator)
+    assert (a + b).fraction == (fa + fb) % 2
+    assert (a - b).fraction == (fa - fb) % 2
+    assert (-a).fraction == -fa % 2
+    assert (a < b) == (fa < fb)
+    assert (a <= b) == (fa <= fb)
 
 
 def test_angle_fraction_validation():
