@@ -46,7 +46,6 @@ from .surface import (
     BoundaryTraces,
     ComponentClass,
     LevelSetGeometry,
-    PairInterval,
     TracePoint,
     classify,
     kappa,

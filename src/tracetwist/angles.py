@@ -16,7 +16,7 @@ from functools import total_ordering
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AngleFraction:
     """The angle pi*p/q with gcd(p, q) = 1 and 0 <= p < 2q.
 
@@ -71,18 +71,10 @@ class AngleFraction:
     def __neg__(self) -> "AngleFraction":
         return AngleFraction(-self.p, self.q)
 
-    def __eq__(self, other):
-        if not isinstance(other, AngleFraction):
-            return NotImplemented
-        return (self.p, self.q) == (other.p, other.q)
-
     def __lt__(self, other):
         if not isinstance(other, AngleFraction):
             return NotImplemented
         return self.p * other.q < other.p * self.q
-
-    def __hash__(self):
-        return hash((self.p, self.q))
 
     def __repr__(self):
         return f"AngleFraction({self.p}, {self.q})"

@@ -16,6 +16,7 @@ other keys are ignored and flags on the command line override the file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -30,25 +31,23 @@ from .orbits import (
     minimality_criterion,
 )
 from .rep import exceptional_representation, is_in_F, trace_coordinates
-from .scalars import EXACT, FLOAT, MixedModeError, NeedsFloatModeError, Surd
+from .scalars import EXACT, FLOAT, MixedModeError, Surd
 from .surface import BoundaryTraces, TracePoint, classify, kappa
 from .twists import TwistWord, apply_word
 from .trigdioph import bounded_search, conway_jones_list, eval_exact
-
-
-def _parse_csv_values(text: str, parse, expect: int | None, what: str) -> tuple:
-    parts = [p for p in text.split(",") if p.strip()]
-    if expect is not None and len(parts) != expect:
-        raise ValueError(f"{what} needs {expect} comma-separated values, got {len(parts)}")
-    return tuple(parse(p) for p in parts)
 
 
 def _csv_flag(parse, expect: int | None, what: str):
     """An argparse ``type`` for comma-separated values; errors follow the flag name."""
 
     def convert(text: str) -> tuple:
+        parts = [p for p in text.split(",") if p.strip()]
+        if expect is not None and len(parts) != expect:
+            raise argparse.ArgumentTypeError(
+                f"{what} needs {expect} comma-separated values, got {len(parts)}"
+            )
         try:
-            return _parse_csv_values(text, parse, expect, what)
+            return tuple(parse(p) for p in parts)
         except (ValueError, ZeroDivisionError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -268,17 +267,19 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 
     mode = {"choices": [EXACT, FLOAT], "default": EXACT}
     budget = {"type": int, "default": 10_000}
+    traces = {"type": _csv_flag(Fraction, 4, "traces"), "help": "a,b,c,d"}
+    point = {"type": _csv_flag(Fraction, 3, "point"), "help": "x,y,z"}
     add(
         cmd_classify,
         "component type, attainable x-interval, and sigma invariants",
-        traces={"help": "a,b,c,d as rationals"},
+        traces={**traces, "help": "a,b,c,d as rationals"},
         mode=mode,
     )
     add(
         cmd_orbit,
         "breadth-first orbit closure; CSV points plus JSON summary",
-        traces={"help": "a,b,c,d"},
-        point={"help": "x,y,z"},
+        traces=traces,
+        point=point,
         budget=budget,
         mode=mode,
         word={"help": "twist word applied to the start point first, e.g. XYz"},
@@ -287,8 +288,8 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     add(
         cmd_scan,
         "orbit exploration and surface-grid coverage (float mode)",
-        traces={"help": "a,b,c,d"},
-        point={"help": "x,y,z"},
+        traces=traces,
+        point=point,
         eps={"type": float, "default": 0.1},
         budget=budget,
         seed={"type": int, "default": 0},
@@ -321,6 +322,24 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """Lift Python's limit on int-to-str digits, where the interpreter has one.
+
+    Exact output prints rationals of any length; the limit still guards
+    input parsing, which runs outside this block.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser(argv).parse_args(argv)
@@ -329,15 +348,16 @@ def main(argv=None) -> int:
         mode = getattr(args, "mode", EXACT)
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}")
-        parse = Fraction if mode == EXACT else lambda s: float(Fraction(s))
-        for name, size, kind in (("traces", 4, BoundaryTraces), ("point", 3, TracePoint)):
+        for name, kind in (("traces", BoundaryTraces), ("point", TracePoint)):
             if not hasattr(args, name):
                 continue
-            if getattr(args, name) is None:
+            values = getattr(args, name)
+            if values is None:
                 raise ValueError(f"--{name} is required for {args.command}")
-            setattr(args, name, kind(*_parse_csv_values(getattr(args, name), parse, size, name)))
-        return args.func(args)
-    except (ValueError, MixedModeError, NeedsFloatModeError, ZeroDivisionError, OSError) as exc:
+            setattr(args, name, kind(*(values if mode == EXACT else map(float, values))))
+        with _int_digits_unlimited():
+            return args.func(args)
+    except (ValueError, MixedModeError, OverflowError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

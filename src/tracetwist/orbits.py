@@ -259,11 +259,6 @@ def _in_family_F(a: Scalar, c: Scalar) -> bool:
     return a * a + c * c > 4 and (rational_angle_of(a) is None or rational_angle_of(c) is None)
 
 
-def _is_fixed(B: BoundaryTraces, p: TracePoint, g: TwistGenerator) -> bool:
-    tol = 0 if p.mode == EXACT else 1e-12
-    return box_distance(apply_generator(B, p, g), p) <= tol
-
-
 def twist_period(
     B: BoundaryTraces, p: TracePoint, axis: Axis, max_q: int = 64
 ) -> int | None:
@@ -273,9 +268,8 @@ def twist_period(
     the returned period is re-verified by iterating the twist (exactly in
     exact mode, within 1e-8 box drift in float mode).
     """
-    _require_same_mode(B, p)
     g = TwistGenerator(axis, 1)
-    if _is_fixed(B, p, g):
+    if box_distance(apply_generator(B, p, g), p) <= (0 if p.mode == EXACT else 1e-12):
         raise ValueError("point is fixed by the axis twist; period is undefined")
     angle = rational_angle_of(p.coord(axis), max_q)
     if angle is None:

@@ -58,9 +58,9 @@ class ComponentClass(Enum):
     DEGENERATE = "degenerate"
 
 
-def _check_open_range(name: str, value: Scalar, bound: int = 2) -> None:
-    if not (-bound < value < bound):
-        raise ValueError(f"{name} = {value} must lie strictly in ({-bound}, {bound})")
+def _check_open_range(name: str, value: Scalar) -> None:
+    if not (-2 < value < 2):
+        raise ValueError(f"{name} = {value} must lie strictly in (-2, 2)")
 
 
 @dataclass(frozen=True)
@@ -198,28 +198,21 @@ def _require_same_mode(B: BoundaryTraces, p: TracePoint) -> str:
     return B.mode
 
 
-@dataclass(frozen=True)
-class PairInterval:
-    """Root interval [I^-, I^+] of s^2 - (uv)s + u^2+v^2-4 for a trace pair (u, v).
+def _pair_roots(u: Scalar, v: Scalar) -> tuple[Scalar | Surd, Scalar | Surd]:
+    """Roots I^- <= I^+ of s^2 - (uv)s + u^2+v^2-4 for a trace pair (u, v).
 
-    Exact mode carries the endpoints as quadratic surds
+    Exact mode carries them as quadratic surds
     (uv -+ sqrt((u^2-4)(v^2-4)))/2; these collapse to plain rationals
     whenever the radicand is a perfect square (e.g. for pairs (t, t) or
     (t, -t)), which covers the fully rational classifications.
     """
-
-    lo: Scalar | Surd
-    hi: Scalar | Surd
-
-    @classmethod
-    def from_traces(cls, u: Scalar, v: Scalar) -> "PairInterval":
-        mode, (u, v) = unify(u, v)
-        radicand = (u * u - 4) * (v * v - 4)
-        if mode == EXACT:
-            half = Fraction(1, 2)
-            return cls(Surd(u * v * half, -half, radicand), Surd(u * v * half, half, radicand))
-        root = math.sqrt(radicand)
-        return cls((u * v - root) / 2, (u * v + root) / 2)
+    mode, (u, v) = unify(u, v)
+    radicand = (u * u - 4) * (v * v - 4)
+    if mode == EXACT:
+        half = Fraction(1, 2)
+        return Surd(u * v * half, -half, radicand), Surd(u * v * half, half, radicand)
+    root = math.sqrt(radicand)
+    return (u * v - root) / 2, (u * v + root) / 2
 
 
 @dataclass(frozen=True)
@@ -325,10 +318,10 @@ def classify(
     with no interval (decided exactly in exact mode).
     """
     (u1, v1), (u2, v2) = B.trace_pairs(axis)
-    i1 = PairInterval.from_traces(u1, v1)
-    i2 = PairInterval.from_traces(u2, v2)
-    lo = max(i1.lo, i2.lo)
-    hi = min(i1.hi, i2.hi)
+    lo1, hi1 = _pair_roots(u1, v1)
+    lo2, hi2 = _pair_roots(u2, v2)
+    lo = max(lo1, lo2)
+    hi = min(hi1, hi2)
     if lo < hi:
         return ComponentClass.SU2, (lo, hi)
     if lo == hi:
@@ -398,12 +391,9 @@ def surface_sample(B: BoundaryTraces, m: int, k: int) -> list[TracePoint]:
     """
     if m < 0 or k < 0:
         raise ValueError("sample counts must be nonnegative")
-    _, interval = classify(B)
-    if interval is None:
-        raise ValueError("cannot sample a degenerate surface")
+    lo, hi = level_range(B, Axis.X)
     if m == 0 or k == 0:
         return []
-    lo, hi = float(interval[0]), float(interval[1])
     Bf = B.to_float()
     points = []
     for i in range(m):

@@ -23,6 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .angles import AngleFraction
 from .scalars import EXACT, as_fraction
@@ -519,23 +520,19 @@ def _half_sums(r: int, n: int, scaled: list[float], cos_values: list[float]):
 def _half_index(r: int, n: int, scaled: list[float], cos_values: list[float]):
     """The r-term halves sorted by the fractional part of their sum.
 
-    Returns ``(keys, codes, halves)``: ``keys`` the sorted fractional parts
-    and ``codes`` beside them the enumeration index of each half, which
-    ``halves`` decodes back into ``(angle indices, coefficient indices)``.
+    Returns ``(keys, halves)``: ``halves[i]`` is ``(angle indices,
+    coefficient indices, keys[i])`` and ``keys`` the sorted fractional
+    parts; the sort is stable, so ties keep enumeration order.  Plain lists
+    are enough: under the search guards (``max_q <= 30``, at most
+    20,000,000 combinations) the table holds at most 25,350 halves (65
+    coefficients over the 4 angles of ``max_q=5``: C(4, 2) * 65**2), and
+    11,100 with two coefficients (over 75 angles).  The benchmark's
+    searches build 2,380 (``max_q=15``, coefficients (1, -1)) and 1,620
+    (``max_q=8``, the default six).
     """
-    from array import array  # here, so that only the search loads the extension
-
-    fracs = array("d", (h % 1.0 for _, _, h in _half_sums(r, n, scaled, cos_values)))
-    order = sorted(range(len(fracs)), key=fracs.__getitem__)
-    keys = array("d", map(fracs.__getitem__, order))
-    combos = list(itertools.combinations(range(n), r))
-    assignments = list(itertools.product(range(len(scaled)), repeat=r))
-
-    def halves(code: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        c, a = divmod(code, len(assignments))
-        return combos[c], assignments[a]
-
-    return keys, array("q", order), halves
+    halves = [(idx, asg, h % 1.0) for idx, asg, h in _half_sums(r, n, scaled, cos_values)]
+    halves.sort(key=itemgetter(2))
+    return [half[2] for half in halves], halves
 
 
 def _screen(n: int, max_terms: int, scaled: list[float], cos_values: list[float], tol: float):
@@ -562,7 +559,7 @@ def _screen(n: int, max_terms: int, scaled: list[float], cos_values: list[float]
     index = {r: _half_index(r, n, scaled, cos_values) for r in range(max_terms // 2 + 1)}
     passes = []
     for k in range(1, max_terms + 1):
-        keys, codes, halves = index[k // 2]
+        keys, halves = index[k // 2]
         for left, left_asg, h in _half_sums((k + 1) // 2, n, scaled, cos_values):
             t = 1.0 - h % 1.0
             seen = 0
@@ -572,7 +569,7 @@ def _screen(n: int, max_terms: int, scaled: list[float], cos_values: list[float]
                 lo = bisect_left(keys, centre - width, seen)
                 seen = bisect_right(keys, centre + width, lo)
                 for pos in range(lo, seen):
-                    right, right_asg = halves(codes[pos])
+                    right, right_asg, _ = halves[pos]
                     if right and right[0] <= left[-1]:
                         continue
                     combo, assignment = left + right, left_asg + right_asg

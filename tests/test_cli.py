@@ -1,9 +1,14 @@
+import csv
+import io
 import json
 import re
+import sys
+from fractions import Fraction
 
 import pytest
 
-from tracetwist.cli import main
+from tracetwist import BoundaryTraces, TracePoint, TwistWord, apply_word, enumerate_orbit
+from tracetwist.cli import _int_digits_unlimited, main
 
 
 def run(capsys, *argv):
@@ -252,23 +257,80 @@ def test_config_file_switch_takes_true_or_false(capsys, tmp_path, value):
     assert f"config key search takes true or false, not {value!r}" in captured.err
 
 
-@pytest.mark.parametrize("grid", ["3", "a,b", "1.5,2"])
+_MALFORMED = [
+    ("grid", "3"),
+    ("grid", "a,b"),
+    ("grid", "1.5,2"),
+    ("traces", "1/2,1/2,1/3"),
+    ("traces", "1/2,1/2,x,1/3"),
+    ("point", "0,1/2"),
+    ("point", "0,1/0,-1.55"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    _MALFORMED,
+    ids=[value if flag == "grid" else f"{flag}={value}" for flag, value in _MALFORMED],
+)
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_malformed_grid_names_the_flag(capsys, tmp_path, grid, source):
-    # these failed with "not enough values to unpack" or an int() message
-    argv = ["scan", "--traces", "1/2,1/2,1/2,1/3", "--point", "0,1/2,-1.55", "--budget", "100"]
+def test_malformed_grid_names_the_flag(capsys, tmp_path, flag, value, source):
+    # grid failed with "not enough values to unpack" or an int() message;
+    # traces and point failed after parsing with a message that named no flag
+    values = {"traces": "1/2,1/2,1/2,1/3", "point": "0,1/2,-1.55", "budget": "100"}
     if source == "flag":
-        argv += ["--grid", grid]
+        values[flag] = value
+        argv = ["scan"]
     else:
+        values.pop(flag, None)
         config = tmp_path / "run.cfg"
-        config.write_text(f"grid={grid}\n", encoding="utf-8")
-        argv = ["--config", str(config)] + argv
+        config.write_text(f"{flag}={value}\n", encoding="utf-8")
+        argv = ["--config", str(config), "scan"]
+    argv += [f"--{name}={text}" for name, text in values.items()]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: argument --grid: " in captured.err
+    assert f"error: argument --{flag}: " in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--mode", "float", "--traces", "1e400,0,0,0"],
+        ["scan", "--traces", "1/2,1/2,1/2,1/3", "--point", "0,1/2,-1.55",
+         "--eps", "1e-320", "--budget", "10"],
+        ["orbit", "--mode", "float", "--traces", "1/2,1/2,1/2,1/3",
+         "--point", "1e200,1e200,1e200", "--budget", "50"],
+    ],
+    ids=["parse", "scan-dedup-grid", "orbit"],
+)
+def test_float_overflow_is_invalid_input(capsys, argv):
+    # these ended in an OverflowError traceback and exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_exact_orbit_prints_tall_rationals(capsys):
+    # a coordinate of the second point has more than 4,300 digits, which
+    # Python's int-to-str limit refused to print (exit 2)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    traces, point, word = "1/2,1/2,1/2,1/3", "0,1/2,-1.55", "XYZXYZXYZ"
+    code, out, _ = run(
+        capsys, "orbit", "--traces", traces, "--point", point, "--word", word, "--budget", "2"
+    )
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    B = BoundaryTraces(*map(Fraction, traces.split(",")))
+    start = apply_word(B, TracePoint(*map(Fraction, point.split(","))), TwistWord.parse(word))
+    with _int_digits_unlimited():
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        printed = {TracePoint(*map(Fraction, row)) for row in rows}
+    assert len(rows) == 2 and max(len(text) for row in rows for text in row) > 4300
+    assert printed == enumerate_orbit(B, start, 2).points
 
 
 def test_classify_float_stdout(capsys):

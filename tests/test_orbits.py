@@ -162,6 +162,11 @@ def test_twist_period_fixed_point_rejected(exceptional_B):
         twist_period(exceptional_B, TracePoint(-1, 0, 0), Axis.X)
 
 
+def test_twist_period_mixed_modes_rejected(markov_B):
+    with pytest.raises(MixedModeError, match="exact-mode but point is float-mode"):
+        twist_period(markov_B, TracePoint(1.0, 1.0, 1.0), Axis.X)
+
+
 def test_filtration_consistency(markov_B):
     # every filtration level q <= 6 gives twist period exactly q on a
     # generic slice point of the all-zero surface
@@ -418,6 +423,8 @@ def test_angle_fraction_validation():
         AngleFraction(1, 0)
     assert AngleFraction(-1, 3) == AngleFraction(5, 3)
     assert AngleFraction(5, 3).trace_canonical() == AngleFraction(1, 3)
+    assert hash(AngleFraction(7, 3)) == hash(AngleFraction(1, 3))
+    assert AngleFraction(1, 2) != Fraction(1, 2)
 
 
 def test_density_scan_eps_beyond_surface_diameter(exceptional_B):
