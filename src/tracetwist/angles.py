@@ -78,3 +78,11 @@ class AngleFraction:
 
     def __repr__(self):
         return f"AngleFraction({self.p}, {self.q})"
+
+
+def _reduced(max_q: int):
+    """Yield int pairs (p, q), 0 < p < q <= max_q, gcd(p, q) = 1, by q and then p."""
+    for q in range(2, max_q + 1):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                yield p, q

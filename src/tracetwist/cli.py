@@ -20,6 +20,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -98,16 +99,24 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _orbit_csv(points, mode: str) -> str:
+def _point_order(p: TracePoint) -> tuple:
+    """Sort key: the coordinates as floats (+-inf beyond the double range), then exact."""
+    exact = p.as_tuple()
+    rounded = []
+    for v in exact:
+        try:
+            rounded.append(float(v))
+        except OverflowError:
+            rounded.append(math.inf if v > 0 else -math.inf)
+    return (*rounded, *exact)
+
+
+def _orbit_csv(points) -> str:
+    """Header and one row per point; csv writes a Fraction with str, a float with repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "y", "z"])
-    keyed = sorted(points, key=lambda p: (float(p.x), float(p.y), float(p.z)))
-    for p in keyed:
-        if mode == EXACT:
-            writer.writerow([str(p.x), str(p.y), str(p.z)])
-        else:
-            writer.writerow([repr(p.x), repr(p.y), repr(p.z)])
+    writer.writerows(p.as_tuple() for p in sorted(points, key=_point_order))
     return buf.getvalue()
 
 
@@ -116,7 +125,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     if args.word:
         p0 = apply_word(B, p0, TwistWord.parse(args.word))
     result = enumerate_orbit(B, p0, args.budget)
-    csv_text = _orbit_csv(result.points, args.mode)
+    csv_text = _orbit_csv(result.points)
     summary = {
         "status": result.status,
         "cardinality": result.cardinality,
@@ -225,9 +234,9 @@ def cmd_example5(args: argparse.Namespace) -> int:
             "boundary": [_fmt(t) for t in (boundary.a, boundary.b, boundary.c, boundary.d)],
             "point": [_fmt(v) for v in point.as_tuple()],
             "trace_D": _fmt(rep.D.trace()),
-            "orbit": [[_fmt(v) for v in p.as_tuple()] for p in sorted(
-                result.points, key=lambda p: float(p.x)
-            )],
+            "orbit": [
+                [_fmt(v) for v in p.as_tuple()] for p in sorted(result.points, key=_point_order)
+            ],
             "orbit_status": result.status,
             "checks": checks,
             "ok": ok,
@@ -358,6 +367,8 @@ def main(argv=None) -> int:
         with _int_digits_unlimited():
             return args.func(args)
     except (ValueError, MixedModeError, OverflowError, ZeroDivisionError, OSError) as exc:
+        if isinstance(exc, OverflowError):
+            exc = f"a float-mode value left the double range ({exc})"
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

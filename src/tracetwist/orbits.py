@@ -20,7 +20,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .angles import AngleFraction
+from .angles import AngleFraction, _reduced
 from .scalars import (
     EXACT,
     MixedModeError,
@@ -206,13 +206,7 @@ def filtration(n: int) -> FiltrationLevel:
     """
     if n < 2:
         raise ValueError("filtration starts at n = 2")
-    elems = frozenset(
-        AngleFraction(p, q)
-        for q in range(2, n + 1)
-        for p in range(1, q)
-        if math.gcd(p, q) == 1
-    )
-    return FiltrationLevel(n, elems)
+    return FiltrationLevel(n, frozenset(AngleFraction(p, q) for p, q in _reduced(n)))
 
 
 def rational_angle_of(
@@ -238,12 +232,9 @@ def rational_angle_of(
             Fraction(1): AngleFraction(1, 3),
             Fraction(-1): AngleFraction(2, 3),
         }.get(level)
-    for q in range(2, max_q + 1):
-        for p in range(1, q):
-            if math.gcd(p, q) != 1:
-                continue
-            if abs(level - 2.0 * math.cos(math.pi * p / q)) <= TOL_SURFACE:
-                return AngleFraction(p, q)
+    for p, q in _reduced(max_q):
+        if abs(level - 2.0 * math.cos(math.pi * p / q)) <= TOL_SURFACE:
+            return AngleFraction(p, q)
     return None
 
 

@@ -17,7 +17,7 @@ with centers cs = (a+b)(d+c)/(2+x), cd = (a-b)(d-c)/(2-x) and
 
 The left side minus the right side equals kappa identically, which the test
 suite checks on all three axes; the y- and z-slices use the boundary
-permutations (a,d,b,c) and (a,c,d,b) respectively.
+permutations (a,d,b,c) and (a,c,d,b), the rows of ``_PAIRS``.
 
 The quadratic factors in rhs have roots I^-/I^+ computed from one pair of
 boundary traces each; whether the two root intervals overlap or leave a gap
@@ -50,6 +50,12 @@ class Axis(Enum):
     X = "x"
     Y = "y"
     Z = "z"
+
+
+# Per axis: its index in (x, y, z), then the two its slices and twists move, cyclically.
+_CYCLE = {Axis.X: (0, 1, 2), Axis.Y: (1, 2, 0), Axis.Z: (2, 0, 1)}
+# Per axis: indices into (a, b, c, d) of the two trace pairs that cut its range.
+_PAIRS = {Axis.X: (0, 1, 2, 3), Axis.Y: (0, 3, 1, 2), Axis.Z: (0, 2, 3, 1)}
 
 
 class ComponentClass(Enum):
@@ -118,12 +124,9 @@ class BoundaryTraces:
 
     def trace_pairs(self, axis: Axis):
         """The two boundary-trace pairs whose product quadratics cut the axis range."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if axis is Axis.X:
-            return (a, b), (c, d)
-        if axis is Axis.Y:
-            return (a, d), (b, c)
-        return (a, c), (d, b)
+        traces = (self.a, self.b, self.c, self.d)
+        i, j, k, m = _PAIRS[axis]
+        return (traces[i], traces[j]), (traces[k], traces[m])
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,15 +153,13 @@ class TracePoint:
         return TracePoint(float(self.x), float(self.y), float(self.z))
 
     def coord(self, axis: Axis) -> Scalar:
-        return {Axis.X: self.x, Axis.Y: self.y, Axis.Z: self.z}[axis]
+        return self.as_tuple()[_CYCLE[axis][0]]
 
     def moving_coords(self, axis: Axis) -> tuple[Scalar, Scalar]:
         """The two coordinates a twist about `axis` acts on, in cyclic order."""
-        if axis is Axis.X:
-            return self.y, self.z
-        if axis is Axis.Y:
-            return self.z, self.x
-        return self.x, self.y
+        _, j, k = _CYCLE[axis]
+        c = self.as_tuple()
+        return c[j], c[k]
 
     def as_tuple(self) -> tuple[Scalar, Scalar, Scalar]:
         return (self.x, self.y, self.z)
@@ -267,13 +268,10 @@ class LevelSetGeometry:
         a_sum, a_diff = self.semi_axes()
         s = float(self.center_sum) + a_sum * math.cos(phi)
         d = float(self.center_diff) + a_diff * math.sin(phi)
-        m1, m2 = (s + d) / 2, (s - d) / 2
-        level = float(self.level)
-        if self.axis is Axis.X:
-            return TracePoint(level, m1, m2)
-        if self.axis is Axis.Y:
-            return TracePoint(m2, level, m1)
-        return TracePoint(m1, m2, level)
+        c = [float(self.level)] * 3
+        _, j, k = _CYCLE[self.axis]
+        c[j], c[k] = (s + d) / 2, (s - d) / 2
+        return TracePoint(*c)
 
 
 def kappa(B: BoundaryTraces, p: TracePoint) -> Scalar:

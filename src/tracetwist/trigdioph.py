@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .angles import AngleFraction
+from .angles import AngleFraction, _reduced
 from .scalars import EXACT, as_fraction
 from .surface import BoundaryTraces
 
@@ -252,7 +252,6 @@ def cos_pi(angle: AngleFraction, conductor: int | None = None) -> CycloElement:
     Fraction(1, 2)
     """
     L = 2 * angle.q if conductor is None else conductor
-    _guard_conductor(L)
     if L % (2 * angle.q):
         raise ValueError("conductor must be a multiple of twice the denominator")
     return _cosine_sum(L, ((1, angle),), 0)
@@ -262,8 +261,9 @@ def _cosine_sum(L: int, pairs, rhs) -> CycloElement:
     """sum(c*cos(angle) for c, angle in pairs) - rhs at conductor L, reduced once.
 
     Over D = lcm(denominators), c*cos(pi*p/q) = c*(z^k + z^-k)/2 puts the
-    integer c*D at z^k and z^-k over the common denominator 2*D.
+    integer c*D at z^k and z^-k over the common denominator 2*D; L is guarded first.
     """
+    _guard_conductor(L)
     D = math.lcm(rhs.denominator, *(c.denominator for c, _ in pairs))
     dense = [0] * L
     dense[0] = -2 * rhs.numerator * (D // rhs.denominator)
@@ -349,17 +349,13 @@ def normalize(rel: CJRelation) -> CJRelation:
             continue
         key = AngleFraction.from_fraction(t)
         merged[key] = merged.get(key, Fraction(0)) + coeff
-    terms = tuple(
-        CJTerm(c, a) for a, c in sorted(merged.items(), key=lambda kv: kv[0].fraction) if c
-    )
+    terms = tuple(CJTerm(c, a) for a, c in sorted(merged.items()) if c)
     return CJRelation(terms, rhs)
 
 
 def eval_exact(rel: CJRelation) -> CycloElement:
     """Exact value of (sum of terms) - rhs in the least common cyclotomic field."""
-    L = rel.conductor()
-    _guard_conductor(L)
-    return _cosine_sum(L, [(t.coeff, t.angle) for t in rel.terms], rel.rhs)
+    return _cosine_sum(rel.conductor(), [(t.coeff, t.angle) for t in rel.terms], rel.rhs)
 
 
 def is_rational_relation(rel: CJRelation) -> Fraction | None:
@@ -494,14 +490,8 @@ def conway_jones_list(t: Fraction = Fraction(1, 12)) -> list[CJRelation]:
 
 
 def _search_angles(max_q: int) -> list[AngleFraction]:
-    half = Fraction(1, 2)
-    angles = [
-        AngleFraction(p, q)
-        for q in range(3, max_q + 1)
-        for p in range(1, q)
-        if math.gcd(p, q) == 1 and Fraction(p, q) < half
-    ]
-    return sorted(angles)
+    """The angles pi*p/q in (0, pi/2) with q <= max_q, ascending."""
+    return sorted(AngleFraction(p, q) for p, q in _reduced(max_q) if 2 * p < q)
 
 
 def _half_sums(r: int, n: int, scaled: list[float], cos_values: list[float]):
@@ -690,7 +680,6 @@ def eqcos_residual(
     theta_x, theta_y, theta_z, theta_xy = thetas
     angles = (theta_xy, theta_z + theta_y, theta_z - theta_y, theta_x)
     L = math.lcm(*(2 * a.q for a in angles))
-    _guard_conductor(L)
     value = _cosine_sum(L, [(1, a) for a in angles], B.sigma_x / 2)
     if value.is_zero():
         L = math.lcm(L, 2 * theta_y.q, 2 * theta_z.q)

@@ -12,7 +12,8 @@ about the x-axis is::
 
 and its inverse performs the same two substitutions in the opposite order.
 The y-twist replaces x then z, the z-twist y then x.  A table lists these
-steps per generator, and a private kernel runs them on one of two carriers:
+steps per generator (rows of the axis table ``surface._CYCLE``), and a
+private kernel runs them on one of two carriers:
 
 * exact mode: the canonical integer form ``(X, Y, Z, D)`` of the point
   ``(X/D, Y/D, Z/D)``, with ``D > 0`` and ``gcd(X, Y, Z, D) == 1``, against
@@ -41,6 +42,7 @@ from .surface import (
     Axis,
     BoundaryTraces,
     TracePoint,
+    _CYCLE,
     _check_open_range,
     _from_integers,
     _require_same_mode,
@@ -115,13 +117,12 @@ class TwistWord:
         return TwistWord(tuple(out))
 
 
-# A Vieta step on coordinate i is (i, j, k) with j < k the other two indices.
-_VIETA = {Axis.X: (0, 1, 2), Axis.Y: (1, 0, 2), Axis.Z: (2, 0, 1)}
-# The coordinates a forward twist replaces, in order; its inverse runs the
-# same pair in reverse.
+# A Vieta step on coordinate i is (i, j, k) with j, k the other two indices,
+# the row _CYCLE[axis] of the coordinate's axis.  The coordinates a forward
+# twist replaces, in order; its inverse runs the same pair in reverse.
 _FORWARD = {Axis.X: (Axis.Z, Axis.Y), Axis.Y: (Axis.X, Axis.Z), Axis.Z: (Axis.Y, Axis.X)}
 _STEPS = {
-    g: tuple(_VIETA[axis] for axis in _FORWARD[g.axis][:: g.power]) for g in GENERATORS
+    g: tuple(_CYCLE[axis] for axis in _FORWARD[g.axis][:: g.power]) for g in GENERATORS
 }
 
 
@@ -170,7 +171,7 @@ def _act(B: BoundaryTraces, p: TracePoint, steps) -> TracePoint:
 
 def vieta_involution(B: BoundaryTraces, p: TracePoint, variable: Axis) -> TracePoint:
     """Replace one coordinate by the other root of kappa as a quadratic in it."""
-    return _act(B, p, (_VIETA[variable],))
+    return _act(B, p, (_CYCLE[variable],))
 
 
 def apply_generator(B: BoundaryTraces, p: TracePoint, g: TwistGenerator) -> TracePoint:

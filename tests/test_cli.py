@@ -312,6 +312,23 @@ def test_float_overflow_is_invalid_input(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert "double range" in err
+
+
+def test_exact_orbit_prints_points_beyond_the_double_range(capsys):
+    # the rows were sorted by float() keys, which raised OverflowError (exit 2)
+    traces, point, word = "0,0,0,0", "3,3,3", "XYZXYZXYZ"
+    code, out, _ = run(
+        capsys, "orbit", "--traces", traces, "--point", point, "--word", word, "--budget", "2"
+    )
+    assert code == 0
+    B = BoundaryTraces(*map(Fraction, traces.split(",")))
+    start = apply_word(B, TracePoint(*map(Fraction, point.split(","))), TwistWord.parse(word))
+    with _int_digits_unlimited():
+        rows = [tuple(map(Fraction, row)) for row in list(csv.reader(io.StringIO(out)))[1:]]
+    expected = sorted(p.as_tuple() for p in enumerate_orbit(B, start, 2).points)
+    assert rows == expected
+    assert any(abs(v) > 1e308 for row in rows for v in row)
 
 
 def test_exact_orbit_prints_tall_rationals(capsys):

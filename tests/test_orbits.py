@@ -116,6 +116,28 @@ def test_filtration_nesting_and_errors():
         filtration(1)
 
 
+def test_filtration_matches_brute_force():
+    for n in range(2, 13):
+        pairs = [(p, q) for q in range(2, n + 1) for p in range(1, q)]
+        expected = {AngleFraction(p, q) for p, q in pairs if math.gcd(p, q) == 1}
+        assert filtration(n).elements == expected
+
+
+def test_rational_angle_of_float_picks_smallest_q_then_p():
+    # brute force over every p/q, reduced or not: a non-reduced pair is
+    # reached after its reduced form, which has the smaller q
+    table = [(p, q, 2 * math.cos(math.pi * p / q)) for q in range(2, 65) for p in range(1, q)]
+
+    def brute(level):
+        return next((AngleFraction(p, q) for p, q, v in table if abs(level - v) <= 1e-9), None)
+
+    for p, q, v in table:
+        if math.gcd(p, q) != 1:
+            continue
+        for level in (v - 1e-10, v + 1e-10):
+            assert rational_angle_of(level, 64) == brute(level) == AngleFraction(p, q)
+
+
 def test_rational_angle_of_exact():
     assert rational_angle_of(Fraction(1)) == AngleFraction(1, 3)
     assert rational_angle_of(Fraction(0)) == AngleFraction(1, 2)

@@ -14,6 +14,7 @@ from tracetwist import (
     TracePoint,
     classify,
     kappa,
+    level_range,
     level_set,
     lift_to_surface,
     surface_sample,
@@ -152,6 +153,29 @@ def test_slice_consistency_on_float_samples(minimal_B):
         assert abs(geom.residual(p)) <= 1e-8
         checked += 1
     assert checked >= 800
+
+
+def test_trace_pairs_per_axis():
+    a, b, c, d = Fraction(1, 2), Fraction(1, 3), Fraction(-1, 5), Fraction(3, 7)
+    B = BoundaryTraces(a, b, c, d)
+    assert B.trace_pairs(Axis.X) == ((a, b), (c, d))
+    assert B.trace_pairs(Axis.Y) == ((a, d), (b, c))
+    assert B.trace_pairs(Axis.Z) == ((a, c), (d, b))
+
+
+@pytest.mark.parametrize("axis", list(Axis))
+def test_point_at_angle_places_level_and_moving_coords(minimal_B, axis):
+    B = minimal_B.to_float()
+    lo, hi = level_range(B, axis)
+    geom = level_set(B, axis, (lo + 2 * hi) / 3)
+    a_sum, a_diff = geom.semi_axes()
+    for phi in (0.0, 0.4, 2.0, 4.5):
+        p = geom.point_at_angle(phi)
+        s = geom.center_sum + a_sum * math.cos(phi)
+        d = geom.center_diff + a_diff * math.sin(phi)
+        assert p.coord(axis) == geom.level
+        assert p.moving_coords(axis) == ((s + d) / 2, (s - d) / 2)
+        assert abs(kappa(B, p)) <= 1e-9
 
 
 def test_interval_realism(exceptional_B, minimal_B):

@@ -366,6 +366,26 @@ def test_package_import_leaves_mpmath_unloaded():
 def test_conductor_guard():
     with pytest.raises(ConductorLimitError):
         eval_exact(CJRelation.make([(1, 1, 5001)], 0))
+    with pytest.raises(ConductorLimitError):
+        cos_pi(AngleFraction(1, 3), 12_000)
+    # theta_x = pi/5003 puts the conductor at lcm(2*5003, 4) = 20,012
+    half = AngleFraction(1, 2)
+    thetas = (AngleFraction(1, 5003), half, half, half)
+    with pytest.raises(ConductorLimitError):
+        eqcos_residual(BoundaryTraces(0, 0, 0, 0), thetas)
+
+
+@pytest.mark.parametrize("max_q", range(3, 31))
+def test_search_angles_are_the_reduced_angles_below_half(max_q):
+    # reference: one comprehension over every p/q, compared as Fractions
+    half = Fraction(1, 2)
+    reference = sorted(
+        AngleFraction(p, q)
+        for q in range(3, max_q + 1)
+        for p in range(1, q)
+        if math.gcd(p, q) == 1 and Fraction(p, q) < half
+    )
+    assert _search_angles(max_q) == reference
 
 
 @pytest.mark.parametrize(

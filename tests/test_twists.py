@@ -22,8 +22,8 @@ from tracetwist import (
     to_rotation_frame,
     vieta_involution,
 )
-from tracetwist.surface import _from_integers, _to_integers
-from tracetwist.twists import _STEPS, _VIETA, GENERATORS, _twist_exact
+from tracetwist.surface import _CYCLE, _from_integers, _to_integers
+from tracetwist.twists import _STEPS, GENERATORS, _twist_exact
 from conftest import MINIMAL_SURFACE_POINT, rand_boundary, rand_point
 
 boundary_fractions = st.fractions(
@@ -151,7 +151,7 @@ def test_integer_kernel_matches_fractions(markov_B, minimal_B):
         assert _from_integers(c) == p
         assert kappa(B, p) == _kappa_by_hand(B, p)
         for axis in Axis:
-            image = _twist_exact(b, c, (_VIETA[axis],))
+            image = _twist_exact(b, c, (_CYCLE[axis],))
             _assert_canonical(image)
             assert _from_integers(image) == vieta_involution(B, p, axis) == _vieta_by_hand(B, p, axis)
         for g in GENERATORS:
