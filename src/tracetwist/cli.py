@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -55,19 +56,19 @@ def _csv_flag(parse, expect: int | None, what: str):
     return convert
 
 
-def _fmt(value):
-    """JSON-ready form: Fractions as 'p/q' strings, floats as numbers."""
+def _exact(value):
+    """The ``json`` default: a Fraction as "p/q", a Surd as its Fraction or {a, b, r}."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Surd):
         if value.is_rational:
-            return str(value.as_fraction())
-        return {"a": str(value.a), "b": str(value.b), "r": str(value.r)}
-    return value
+            return value.as_fraction()
+        return {"a": value.a, "b": value.b, "r": value.r}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _emit(payload, file=None) -> None:
+    print(json.dumps(payload, sort_keys=True, default=_exact), file=file)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -87,11 +88,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     component, interval = classify(B)
     payload = {
         "component": component.value,
-        "S": None if interval is None else [_fmt(interval[0]), _fmt(interval[1])],
-        "sigma_x": _fmt(B.sigma_x),
-        "sigma_y": _fmt(B.sigma_y),
-        "sigma_z": _fmt(B.sigma_z),
-        "s_const": _fmt(B.s_const),
+        "S": interval,
+        "sigma_x": B.sigma_x,
+        "sigma_y": B.sigma_y,
+        "sigma_z": B.sigma_z,
+        "s_const": B.s_const,
     }
     if args.mode == EXACT:
         payload["minimality_criterion"] = minimality_criterion(B)
@@ -137,24 +138,14 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         _emit(summary)
     else:
         sys.stdout.write(csv_text)
-        print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+        _emit(summary, sys.stderr)
     return 0
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     B, p0 = args.traces, args.point
     report = density_scan(B, p0, args.eps, args.budget, grid=args.grid, seed=args.seed)
-    _emit(
-        {
-            "covered_fraction": report.covered_fraction,
-            "truncated": report.truncated,
-            "orbit_size": report.orbit_size,
-            "grid_size": report.grid_size,
-            "eps": args.eps,
-            "budget": args.budget,
-            "seed": args.seed,
-        }
-    )
+    _emit({**dataclasses.asdict(report), "eps": args.eps, "budget": args.budget, "seed": args.seed})
     return 0
 
 
@@ -173,37 +164,26 @@ def cmd_filtration(args: argparse.Namespace) -> int:
 
 
 def cmd_cj(args: argparse.Namespace) -> int:
+    if args.verify_list and args.search:
+        raise ValueError("cj takes one mode: --verify-list and --search cannot be combined")
     if args.verify_list:
-        rows = []
-        ok = True
-        for idx, rel in enumerate(conway_jones_list(args.t), start=1):
-            residual = eval_exact(rel)
-            zero = residual.is_zero()
-            ok = ok and zero
-            rows.append(
-                {
-                    "family": idx,
-                    "identity": rel.describe(),
-                    "residual": "0" if zero else "nonzero",
-                }
-            )
-        _emit(rows)
-        return 0 if ok else 1
+        relations = conway_jones_list(args.t)
+        zero = [eval_exact(rel).is_zero() for rel in relations]
+        _emit(
+            [
+                {"family": idx, "identity": rel.describe(), "residual": "0" if z else "nonzero"}
+                for idx, (rel, z) in enumerate(zip(relations, zero), start=1)
+            ]
+        )
+        return 0 if all(zero) else 1
     if args.search:
         found = bounded_search(args.max_q, args.max_terms, args.coeffs)
-        rows = []
-        for rel, cls in found:
-            rows.append(
-                {
-                    "relation": rel.describe(),
-                    "value": _fmt(rel.rhs),
-                    "kind": cls.kind,
-                    "family": cls.family,
-                    "scale": _fmt(cls.scale) if cls.scale is not None else None,
-                    "t": _fmt(cls.t) if cls.t is not None else None,
-                }
-            )
-        _emit(rows)
+        _emit(
+            [
+                {"relation": rel.describe(), "value": rel.rhs, **dataclasses.asdict(cls)}
+                for rel, cls in found
+            ]
+        )
         return 0
     raise ValueError("cj requires --verify-list or --search")
 
@@ -231,12 +211,10 @@ def cmd_example5(args: argparse.Namespace) -> int:
     ok = all(checks.values())
     _emit(
         {
-            "boundary": [_fmt(t) for t in (boundary.a, boundary.b, boundary.c, boundary.d)],
-            "point": [_fmt(v) for v in point.as_tuple()],
-            "trace_D": _fmt(rep.D.trace()),
-            "orbit": [
-                [_fmt(v) for v in p.as_tuple()] for p in sorted(result.points, key=_point_order)
-            ],
+            "boundary": (boundary.a, boundary.b, boundary.c, boundary.d),
+            "point": point.as_tuple(),
+            "trace_D": rep.D.trace(),
+            "orbit": [p.as_tuple() for p in sorted(result.points, key=_point_order)],
             "orbit_status": result.status,
             "checks": checks,
             "ok": ok,

@@ -612,6 +612,17 @@ def bounded_search(
     with coefficients (1, -1) from ``max_q=25`` (cos(2pi/17) + cos(4pi/23)
     + cos(5pi/19) + cos(8pi/25) is 1.1e-9 from Z/2, at conductor 371,450),
     and with the default set from ``max_q=19``.
+
+    Coefficients are bounded, ``max|c| <= 10**5``, so that rounding cannot
+    push a true relation out of the screen.  With u = 2**-53, each of the k
+    <= 4 terms ``lattice*float(c) * cos(pi*p/q)`` is off by at most about
+    9*u*T, T = lattice*max|c| (u each for float(c), the product with
+    lattice and the product with the cosine; about 6*u for the cosine,
+    whose argument pi*p/q is three roundings from exact), and summing k
+    terms adds at most (k - 1)*k*u*T.  That is at most (10 + k)*k*u*T,
+    56*u*T = 6.2e-15*T for k = 4, which stays below ``tol = lattice*1e-9``
+    while max|c| < 1.6e5.  Far beyond it the screen drops true relations:
+    (10**8, -10**8) at ``max_q=10`` would lose family 1.
     """
     if max_q > 30:
         raise ValueError("search is desk-scale only: max_q <= 30")
@@ -620,6 +631,8 @@ def bounded_search(
     coeffs = tuple(as_fraction(c) for c in coeff_set)
     if not coeffs or any(c == 0 for c in coeffs):
         raise ValueError("coefficients must be nonzero, and at least one is needed")
+    if max(map(abs, coeffs)) > 10**5:
+        raise ValueError("coefficients must be at most 10**5 in absolute value")
     angles = _search_angles(max_q)
     n = len(angles)
     total = sum(

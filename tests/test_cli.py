@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tracetwist import BoundaryTraces, TracePoint, TwistWord, apply_word, enumerate_orbit
-from tracetwist.cli import _int_digits_unlimited, main
+from tracetwist.cli import _exact, _int_digits_unlimited, main
 
 
 def run(capsys, *argv):
@@ -127,6 +127,62 @@ def test_cj_requires_a_mode(capsys):
     assert code == 2
 
 
+def test_cj_refuses_both_modes(capsys):
+    # the search flag was ignored and the verify list printed with exit 0
+    code, out, err = run(capsys, "cj", "--verify-list", "--search")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cj takes one mode: --verify-list and --search cannot be combined\n"
+
+
+@pytest.mark.parametrize(
+    "coeffs", ["100000000,-100000000", "1000000000,-1000000000", "1,1e308", "1,1e309"]
+)
+def test_cj_search_refuses_coefficients_beyond_the_bound(capsys, coeffs):
+    # the first two dropped relations silently; the last two reported a float overflow
+    code, out, err = run(capsys, "cj", "--search", "--max-q", "10", "--coeffs", coeffs)
+    assert code == 2
+    assert out == ""
+    assert err == "error: coefficients must be at most 10**5 in absolute value\n"
+
+
+@pytest.mark.parametrize("n", ["1001", "1" + "0" * 53])
+def test_filtration_refuses_beyond_desk_scale(capsys, n):
+    # a 54-digit n ran until killed; the refusal comes before any work
+    code, out, err = run(capsys, "filtration", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err == "error: filtration is desk-scale only: n <= 1000\n"
+
+
+def test_classify_irrational_endpoints_stdout(capsys):
+    code, out, _ = run(capsys, "classify", "--traces", "1/3,1/5,-1/7,1/2")
+    assert code == 0
+    assert out == (
+        '{"S": [{"a": "1/30", "b": "-1/2", "r": "77/5"}, '
+        '{"a": "-1/28", "b": "1/2", "r": "2925/196"}], "component": "su2", '
+        '"minimality_criterion": true, "s_const": "-158021/44100", '
+        '"sigma_x": "-1/210", "sigma_y": "29/210", "sigma_z": "11/210"}\n'
+    )
+
+
+def test_cj_search_row_stdout(capsys):
+    code, out, _ = run(capsys, "cj", "--search", "--max-q", "15", "--coeffs=1,-1,-2")
+    assert code == 0
+    assert (
+        '{"family": 2, "kind": "family", '
+        '"relation": "cos(pi/15) - cos(4pi/15) - cos(2pi/5) = 0", '
+        '"scale": "-1", "t": "1/15", "value": "0"}'
+    ) in out
+    assert out.startswith("[{") and out.endswith("}]\n")
+
+
+def test_exact_encoder_refuses_other_objects():
+    assert _exact(Fraction(-3, 4)) == "-3/4"
+    with pytest.raises(TypeError, match="complex"):
+        _exact(1j)
+
+
 def test_example5(capsys):
     code, out, _ = run(capsys, "example5")
     assert code == 0
@@ -134,6 +190,13 @@ def test_example5(capsys):
     assert payload["ok"] is True
     assert payload["orbit"] == [["-17/16", "0", "0"], ["-1", "0", "0"]]
     assert payload["trace_D"] == "-7/4"
+    assert out == (
+        '{"boundary": ["1", "1", "7/4", "-7/4"], "checks": {"boundary": true, '
+        '"family_boundary_matches": true, "in_family": true, "kappa_zero": true, '
+        '"orbit_finite": true, "orbit_is_special": true, "point": true, "trace_D": true}, '
+        '"ok": true, "orbit": [["-17/16", "0", "0"], ["-1", "0", "0"]], '
+        '"orbit_status": "finite", "point": ["-1", "0", "0"], "trace_D": "-7/4"}\n'
+    )
 
 
 def test_scan_deterministic(capsys):

@@ -213,6 +213,20 @@ def test_bounded_search_guards():
         bounded_search(5, 4, ())
 
 
+def test_bounded_search_large_coefficients_find_the_unit_relations():
+    def signature(coeffs):
+        return [(cls.kind, cls.family, cls.t) for _, cls in bounded_search(15, 4, coeffs)]
+
+    assert signature((10**5, -10**5)) == signature((1, -1))
+
+
+@pytest.mark.parametrize("coeffs", [(10**8, -10**8), (1, Fraction(10**5) + Fraction(1, 3))])
+def test_bounded_search_refuses_coefficients_beyond_the_screen_bound(coeffs):
+    # (10**8, -10**8) at max_q=10 lost family 1 to rounding in the float screen
+    with pytest.raises(ValueError, match=r"10\*\*5"):
+        bounded_search(10, 4, coeffs)
+
+
 def test_bounded_search_keeps_large_coefficient_denominators():
     # the value 1/10002 has a denominator above 10,000
     found = bounded_search(3, 1, (Fraction(1, 5001),))
