@@ -40,7 +40,6 @@ from .scalars import (
     NeedsFloatModeError,
     Scalar,
     Surd,
-    mode_of,
     sqrt_exact,
     unify,
 )
@@ -104,7 +103,7 @@ class BoundaryTraces:
 
     @property
     def mode(self) -> str:
-        return mode_of(self.a)
+        return FLOAT if isinstance(self.a, float) else EXACT
 
     @cached_property
     def _integer_form(self) -> tuple[int, int, int, int, int]:
@@ -138,6 +137,10 @@ class TracePoint:
     z: Scalar
 
     def __post_init__(self):
+        # Kernels build uniform float or Fraction triples, which unify returns unchanged.
+        t = type(self.x)
+        if (t is float or t is Fraction) and type(self.y) is t and type(self.z) is t:
+            return
         _, (x, y, z) = unify(self.x, self.y, self.z)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -145,7 +148,7 @@ class TracePoint:
 
     @property
     def mode(self) -> str:
-        return mode_of(self.x)
+        return FLOAT if isinstance(self.x, float) else EXACT
 
     def to_float(self) -> "TracePoint":
         if self.mode == FLOAT:
@@ -192,11 +195,12 @@ def _from_integers(c: tuple[int, int, int, int], shared: dict | None = None) -> 
 
 
 def _require_same_mode(B: BoundaryTraces, p: TracePoint) -> str:
-    if B.mode != p.mode:
+    mode, point_mode = B.mode, p.mode
+    if mode != point_mode:
         raise MixedModeError(
-            f"boundary traces are {B.mode}-mode but point is {p.mode}-mode"
+            f"boundary traces are {mode}-mode but point is {point_mode}-mode"
         )
-    return B.mode
+    return mode
 
 
 def _pair_roots(u: Scalar, v: Scalar) -> tuple[Scalar | Surd, Scalar | Surd]:

@@ -5,21 +5,28 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import tracetwist.surface
 from tracetwist import (
+    EXACT,
+    FLOAT,
+    GENERATORS,
     Axis,
     BoundaryTraces,
     ComponentClass,
     MixedModeError,
     NeedsFloatModeError,
     TracePoint,
+    apply_generator,
     classify,
+    enumerate_orbit,
     kappa,
     level_range,
     level_set,
     lift_to_surface,
     surface_sample,
 )
-from conftest import rand_boundary, rand_fraction
+from tracetwist.scalars import unify
+from conftest import MINIMAL_SURFACE_POINT, rand_boundary, rand_fraction
 
 boundary_fractions = st.fractions(
     min_value=Fraction(-2), max_value=Fraction(2), max_denominator=12
@@ -27,6 +34,63 @@ boundary_fractions = st.fractions(
 point_fractions = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=20
 )
+
+
+# Everything TracePoint may be handed: ints and bools promote, the rest pass or fail.
+point_inputs = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    point_fractions,
+    st.floats(allow_nan=False),
+    st.just("1/2"),
+)
+dyadics = st.builds(
+    lambda n, k: Fraction(n, 2**k), st.integers(-(2**20), 2**20), st.integers(0, 30)
+)
+
+
+@given(point_inputs, point_inputs, point_inputs)
+def test_trace_point_construction_matches_unify(x, y, z):
+    try:
+        mode, expected = unify(x, y, z)
+    except TypeError as exc:  # MixedModeError included
+        with pytest.raises(TypeError) as info:
+            TracePoint(x, y, z)
+        assert type(info.value) is type(exc)
+        return
+    p = TracePoint(x, y, z)
+    assert p.as_tuple() == expected
+    assert [type(v) for v in p.as_tuple()] == [type(v) for v in expected]
+    assert p.mode == mode
+
+
+@given(dyadics, dyadics, dyadics)
+def test_exact_and_float_points_with_equal_values_are_equal(x, y, z):
+    exact, approx = TracePoint(x, y, z), TracePoint(float(x), float(y), float(z))
+    assert (exact.mode, approx.mode) == (EXACT, FLOAT)
+    assert exact == approx
+    assert hash(exact) == hash(approx)
+
+
+def test_kernel_points_are_not_revalidated(monkeypatch, minimal_B):
+    """Points the kernels build are uniform already; only the API edge validates."""
+    Bf, pf = minimal_B.to_float(), MINIMAL_SURFACE_POINT.to_float()
+    calls = []
+
+    def counting_unify(*values):
+        calls.append(values)
+        return unify(*values)
+
+    monkeypatch.setattr(tracetwist.surface, "unify", counting_unify)
+    exact = enumerate_orbit(minimal_B, MINIMAL_SURFACE_POINT, 200)
+    approx = enumerate_orbit(Bf, pf, 200)
+    for g in GENERATORS:
+        apply_generator(minimal_B, MINIMAL_SURFACE_POINT, g)
+        apply_generator(Bf, pf, g)
+    assert kappa(minimal_B, MINIMAL_SURFACE_POINT) == 0
+    assert abs(kappa(Bf, pf)) <= 1e-9
+    assert calls == []
+    assert exact.cardinality == approx.cardinality == 200
 
 
 def test_kappa_examples(exceptional_B, markov_B):
