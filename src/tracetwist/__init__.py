@@ -19,6 +19,7 @@ from .orbits import (
     epsilon_density_on_level,
     exceptional_family,
     filtration,
+    is_in_F,
     minimality_criterion,
     rational_angle_of,
     twist_period,
@@ -28,7 +29,6 @@ from .rep import (
     RepFour,
     exceptional_representation,
     from_triple,
-    is_in_F,
     trace_coordinates,
 )
 from .scalars import (

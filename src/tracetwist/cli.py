@@ -30,9 +30,10 @@ from .orbits import (
     enumerate_orbit,
     exceptional_family,
     filtration,
+    is_in_F,
     minimality_criterion,
 )
-from .rep import exceptional_representation, is_in_F, trace_coordinates
+from .rep import exceptional_representation, trace_coordinates
 from .scalars import EXACT, FLOAT, MixedModeError, Surd
 from .surface import BoundaryTraces, TracePoint, classify, kappa
 from .twists import TwistWord, apply_word

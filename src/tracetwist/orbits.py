@@ -10,6 +10,11 @@ levels are periodic only for the three values 0, +-1 (the only rational
 traces with rational rotation number); everything else rational rotates
 irrationally and equidistributes, which is what the epsilon-density
 machinery measures.
+
+The module also carries the membership test for the exceptional boundary
+family (a, a, c, -c): the checkable conditions are a^2 + c^2 > 4 and an
+irrational boundary rotation number, the latter decided by Niven's
+theorem for exact inputs.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .scalars import (
     Scalar,
     TOL_GEOM,
     TOL_SURFACE,
-    mode_of,
+    as_fraction,
     unify,
 )
 from .surface import (
@@ -229,9 +234,9 @@ def rational_angle_of(
         if folded.p == 0 or folded.p == folded.q:
             raise ValueError("angle corresponds to a trace of +-2, outside the domain")
         return folded
-    _, (level,) = unify(level)
+    mode, (level,) = unify(level)
     _check_open_range("level", level)
-    if mode_of(level) == EXACT:
+    if mode == EXACT:
         return {
             Fraction(0): AngleFraction(1, 2),
             Fraction(1): AngleFraction(1, 3),
@@ -253,6 +258,17 @@ def _in_family_F(a: Scalar, c: Scalar) -> bool:
     _check_open_range("a", a)
     _check_open_range("c", c)
     return a * a + c * c > 4 and (rational_angle_of(a) is None or rational_angle_of(c) is None)
+
+
+def is_in_F(a: Fraction, c: Fraction) -> bool:
+    """Membership in the exceptional boundary family (a, a, c, -c).
+
+    Condition one is a^2 + c^2 > 4, checked exactly.  Condition two asks
+    for an irrational rotation number acos(./2)/pi on a boundary trace;
+    by Niven's theorem a rational trace in (-2, 2) rotates rationally only
+    at 0 and +-1.
+    """
+    return _in_family_F(as_fraction(a), as_fraction(c))
 
 
 def twist_period(

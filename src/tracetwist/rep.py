@@ -5,11 +5,6 @@ determinant-one matrices with A*B*C*D = I.  Its class on the character
 variety is read off through traces: boundary data (tr A, ..., tr D) and
 the interior point (tr AB, tr BC, tr CA), which lands exactly on the
 surface cut out by `kappa` (a trace identity, re-checked at runtime).
-
-The module also carries the membership test for the exceptional boundary
-family (a, a, c, -c): the checkable conditions are a^2 + c^2 > 4 and an
-irrational boundary rotation number, the latter decided by Niven's
-theorem for exact inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .orbits import _in_family_F
 from .scalars import as_fraction
 from .surface import BoundaryTraces, TracePoint, kappa
 
@@ -94,17 +88,6 @@ def trace_coordinates(rep: RepFour) -> tuple[BoundaryTraces, TracePoint]:
     if kappa(boundary, point) != 0:
         raise RuntimeError("trace identity violated; this is a bug")
     return boundary, point
-
-
-def is_in_F(a: Fraction, c: Fraction) -> bool:
-    """Membership in the exceptional boundary family (a, a, c, -c).
-
-    Condition one is a^2 + c^2 > 4, checked exactly.  Condition two asks
-    for an irrational rotation number acos(./2)/pi on a boundary trace;
-    by Niven's theorem a rational trace in (-2, 2) rotates rationally only
-    at 0 and +-1.
-    """
-    return _in_family_F(as_fraction(a), as_fraction(c))
 
 
 def exceptional_representation() -> RepFour:

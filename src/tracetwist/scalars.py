@@ -31,8 +31,10 @@ Scalar = Union[Fraction, float]
 EXACT = "exact"
 FLOAT = "float"
 
-# Repo-wide float tolerances: surface membership, and identities derived
-# from it by bounded algebra (ellipse equations, rotation frames).
+# Float-mode tolerances.  TOL_SURFACE matches a float level to a rational
+# angle (orbits.rational_angle_of) and closes the float orbit of
+# orbits.exceptional_family; TOL_GEOM bounds the box drift with which
+# orbits.twist_period re-verifies a float period.
 TOL_SURFACE = 1e-9
 TOL_GEOM = 1e-8
 
@@ -43,15 +45,6 @@ class MixedModeError(TypeError):
 
 class NeedsFloatModeError(ValueError):
     """An exact-mode computation hit an irrational quantity."""
-
-
-def mode_of(value: Scalar) -> str:
-    """Numeric mode of a scalar; ints count as exact."""
-    if isinstance(value, float):
-        return FLOAT
-    if isinstance(value, (Fraction, int)):
-        return EXACT
-    raise TypeError(f"not a scalar: {value!r}")
 
 
 def unify(*values: Scalar) -> tuple[str, tuple[Scalar, ...]]:

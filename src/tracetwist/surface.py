@@ -209,11 +209,11 @@ def _pair_roots(u: Scalar, v: Scalar) -> tuple[Scalar | Surd, Scalar | Surd]:
     Exact mode carries them as quadratic surds
     (uv -+ sqrt((u^2-4)(v^2-4)))/2; these collapse to plain rationals
     whenever the radicand is a perfect square (e.g. for pairs (t, t) or
-    (t, -t)), which covers the fully rational classifications.
+    (t, -t)), which covers the fully rational classifications.  The pair
+    comes from one :class:`BoundaryTraces`, so it is unified already.
     """
-    mode, (u, v) = unify(u, v)
     radicand = (u * u - 4) * (v * v - 4)
-    if mode == EXACT:
+    if isinstance(u, Fraction):
         half = Fraction(1, 2)
         return Surd(u * v * half, -half, radicand), Surd(u * v * half, half, radicand)
     root = math.sqrt(radicand)

@@ -255,6 +255,29 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert json.loads(out)["component"] == "sl2r_compact"
 
 
+def test_config_file_mode_must_be_a_choice(capsys, tmp_path):
+    # argparse checks no choices on config defaults; main does
+    config = tmp_path / "run.cfg"
+    config.write_text("mode=foo\ntraces=1,1,7/4,-7/4\n", encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(config), "classify")
+    assert code == 2
+    assert out == ""
+    assert err == "error: mode must be 'exact' or 'float'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["classify"], "traces"), (["orbit", "--traces", "1,1,7/4,-7/4"], "point")],
+    ids=["classify", "orbit"],
+)
+def test_required_flag_is_named(capsys, argv, flag):
+    # the flags are optional to argparse so that a config file can supply them
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --{flag} is required for {argv[0]}\n"
+
+
 def test_orbit_word_prefix(capsys, tmp_path):
     # the word moves the start point within the same orbit
     code, out, _ = run(

@@ -26,6 +26,7 @@ from tracetwist import (
     filtration,
     level_range,
     level_set,
+    lift_to_surface,
     minimality_criterion,
     rational_angle_of,
     to_rotation_frame,
@@ -423,6 +424,17 @@ def test_word_log_on_truncated_orbit(minimal_B):
     for point, word in result.words.items():
         regenerated = apply_word(minimal_B, MINIMAL_SURFACE_POINT, TwistWord.parse(word))
         assert regenerated == point
+
+
+def test_float_word_log_regenerates_each_point(minimal_B):
+    # the BFS and apply_word run the same float operations in the same order
+    Bf = minimal_B.to_float()
+    p0 = lift_to_surface(Bf, 0.0, 0.5)[0]
+    result = enumerate_orbit(Bf, p0, 2000, log_words=True)
+    assert set(result.words) == result.points
+    for point, word in result.words.items():
+        regenerated = apply_word(Bf, p0, TwistWord.parse(word))
+        assert regenerated.as_tuple() == point.as_tuple()
 
 
 _ANGLES = st.tuples(st.integers(-60, 60), st.integers(1, 30))

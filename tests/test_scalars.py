@@ -9,16 +9,9 @@ from tracetwist.scalars import (
     MixedModeError,
     Surd,
     as_fraction,
-    mode_of,
     sqrt_exact,
     unify,
 )
-
-
-def test_mode_of():
-    assert mode_of(Fraction(1, 2)) == EXACT
-    assert mode_of(3) == EXACT
-    assert mode_of(0.5) == FLOAT
 
 
 def test_unify_promotes_ints():

@@ -73,7 +73,7 @@ def test_exact_and_float_points_with_equal_values_are_equal(x, y, z):
 
 
 def test_kernel_points_are_not_revalidated(monkeypatch, minimal_B):
-    """Points the kernels build are uniform already; only the API edge validates."""
+    """Kernel points and boundary traces are uniform already; only the API edge validates."""
     Bf, pf = minimal_B.to_float(), MINIMAL_SURFACE_POINT.to_float()
     calls = []
 
@@ -89,6 +89,8 @@ def test_kernel_points_are_not_revalidated(monkeypatch, minimal_B):
         apply_generator(Bf, pf, g)
     assert kappa(minimal_B, MINIMAL_SURFACE_POINT) == 0
     assert abs(kappa(Bf, pf)) <= 1e-9
+    for axis in Axis:
+        assert classify(minimal_B, axis)[0] is classify(Bf, axis)[0]
     assert calls == []
     assert exact.cardinality == approx.cardinality == 200
 
