@@ -14,7 +14,8 @@ machinery measures.
 The module also carries the membership test for the exceptional boundary
 family (a, a, c, -c): the checkable conditions are a^2 + c^2 > 4 and an
 irrational boundary rotation number, the latter decided by Niven's
-theorem for exact inputs.
+theorem.  Membership is an exact statement, so the test takes exact
+traces only.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .angles import AngleFraction, _reduced
 from .scalars import (
     EXACT,
     MixedModeError,
-    NeedsFloatModeError,
     Scalar,
     TOL_GEOM,
     TOL_SURFACE,
@@ -121,7 +121,6 @@ class OrbitResult:
 
     points: frozenset[TracePoint]
     status: str
-    budget: int
     words: dict | None = None
 
     @property
@@ -185,7 +184,6 @@ def enumerate_orbit(
     return OrbitResult(
         points=frozenset(kept),
         status="finite" if (not truncated and exact) else "truncated",
-        budget=budget,
         words=dict(zip(kept, words.values())) if words is not None else None,
     )
 
@@ -248,27 +246,19 @@ def rational_angle_of(
     return None
 
 
-def _in_family_F(a: Scalar, c: Scalar) -> bool:
-    """Is (a, a, c, -c) in the exceptional family F?  a and c share one mode.
-
-    Both traces lie in (-2, 2) (else ValueError), a^2 + c^2 > 4, and at
-    least one boundary rotation number acos(./2)/pi is irrational, decided
-    by :func:`rational_angle_of` (Niven's theorem for exact traces).
-    """
-    _check_open_range("a", a)
-    _check_open_range("c", c)
-    return a * a + c * c > 4 and (rational_angle_of(a) is None or rational_angle_of(c) is None)
-
-
 def is_in_F(a: Fraction, c: Fraction) -> bool:
     """Membership in the exceptional boundary family (a, a, c, -c).
 
-    Condition one is a^2 + c^2 > 4, checked exactly.  Condition two asks
-    for an irrational rotation number acos(./2)/pi on a boundary trace;
-    by Niven's theorem a rational trace in (-2, 2) rotates rationally only
-    at 0 and +-1.
+    Exact traces only; floats raise :class:`MixedModeError`.  Both traces
+    lie in (-2, 2) (else ValueError).  Condition one is a^2 + c^2 > 4.
+    Condition two asks for an irrational rotation number acos(./2)/pi on a
+    boundary trace; by Niven's theorem (:func:`rational_angle_of`) a
+    rational trace in (-2, 2) rotates rationally only at 0 and +-1.
     """
-    return _in_family_F(as_fraction(a), as_fraction(c))
+    a, c = as_fraction(a), as_fraction(c)
+    _check_open_range("a", a)
+    _check_open_range("c", c)
+    return a * a + c * c > 4 and (rational_angle_of(a) is None or rational_angle_of(c) is None)
 
 
 def twist_period(
@@ -355,38 +345,33 @@ def minimality_criterion(B: BoundaryTraces) -> bool:
 
     The sigma invariants are trapped in (-8, 8), so excluding the integer
     band -8..8 amounts to excluding all integers.  When this holds, every
-    orbit on the surface is dense.  Exact mode only: float rationality is
-    undecidable.
+    orbit on the surface is dense.  Exact traces only: float rationality is
+    undecidable, so float traces raise :class:`MixedModeError`.
     """
     if B.mode != EXACT:
-        raise NeedsFloatModeError("rationality of sigma invariants needs exact mode")
+        raise MixedModeError("rationality of sigma invariants needs exact boundary traces")
     return sum(s.denominator != 1 for s in (B.sigma_x, B.sigma_y, B.sigma_z)) >= 2
 
 
 def exceptional_family(
-    a: Scalar, c: Scalar
+    a: Fraction, c: Fraction
 ) -> tuple[BoundaryTraces, frozenset[TracePoint]]:
     """Boundary data (a, a, c, -c) carrying an invariant two-point orbit.
 
-    Requires a^2 + c^2 > 4 and at least one of the two boundary rotation
-    numbers acos(./2)/pi irrational (for exact inputs this is Niven's
-    theorem: the trace must avoid {0, +-1}).  The returned special orbit
-    {(a^2-2, 0, 0), (2-c^2, 0, 0)} is verified closed under all six
-    generators before returning.
+    Exact traces only; floats raise :class:`MixedModeError`.  Requires
+    (a, a, c, -c) in F (:func:`is_in_F`): a^2 + c^2 > 4 and a or c outside
+    {0, +-1}, so that a boundary rotation number is irrational.  The
+    returned special orbit {(a^2-2, 0, 0), (2-c^2, 0, 0)} is verified
+    closed under all six generators, exactly, before returning.
     """
-    mode, (a, c) = unify(a, c)
-    if not _in_family_F(a, c):
+    a, c = as_fraction(a), as_fraction(c)
+    if not is_in_F(a, c):
         raise ValueError(
             "need a^2 + c^2 > 4 and an irrational rotation number on the boundary"
         )
     B = BoundaryTraces(a, a, c, -c)
     orbit = frozenset({TracePoint(a * a - 2, 0, 0), TracePoint(2 - c * c, 0, 0)})
-    tol = 0 if mode == EXACT else TOL_SURFACE
-    closed = all(
-        any(box_distance(apply_generator(B, pt, g), q) <= tol for q in orbit)
-        for pt in orbit
-        for g in GENERATORS
-    )
+    closed = all(apply_generator(B, pt, g) in orbit for pt in orbit for g in GENERATORS)
     if not closed:
         raise RuntimeError("special orbit failed closure under the twists")
     return B, orbit

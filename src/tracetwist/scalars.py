@@ -8,9 +8,15 @@ mode carries ordinary doubles for the geometry that genuinely needs
 radicals (ellipse axes, rotation frames).
 
 Python ints are accepted anywhere and promoted to the mode of their
-companions (an int is exactly representable in either carrier).  A Fraction
-meeting a float raises :class:`MixedModeError` instead of decaying to
-floating point.
+companions (an int is exactly representable in either carrier).  Each mode
+condition has one rule and one exception class:
+
+* an exact-only computation given a float raises :class:`MixedModeError`
+  instead of decaying to floating point;
+* float-only geometry converts exact input to floats at the edge rather
+  than refusing it;
+* :class:`NeedsFloatModeError` means only that an exact computation met an
+  irrational value.
 
 Interval endpoints of the component classification are quadratic surds
 ``a + b*sqrt(r)`` rather than plain rationals; :class:`Surd` carries just
@@ -32,19 +38,18 @@ EXACT = "exact"
 FLOAT = "float"
 
 # Float-mode tolerances.  TOL_SURFACE matches a float level to a rational
-# angle (orbits.rational_angle_of) and closes the float orbit of
-# orbits.exceptional_family; TOL_GEOM bounds the box drift with which
+# angle (orbits.rational_angle_of); TOL_GEOM bounds the box drift with which
 # orbits.twist_period re-verifies a float period.
 TOL_SURFACE = 1e-9
 TOL_GEOM = 1e-8
 
 
 class MixedModeError(TypeError):
-    """Exact rationals and floats were combined in one geometric object."""
+    """A float reached exact arithmetic: an exact-only input, or a mix of modes."""
 
 
 class NeedsFloatModeError(ValueError):
-    """An exact-mode computation hit an irrational quantity."""
+    """An exact computation met an irrational value it cannot represent."""
 
 
 def unify(*values: Scalar) -> tuple[str, tuple[Scalar, ...]]:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .angles import AngleFraction, _reduced
-from .scalars import EXACT, as_fraction
+from .scalars import EXACT, MixedModeError, as_fraction
 from .surface import BoundaryTraces
 
 CONDUCTOR_LIMIT = 10_000
@@ -689,7 +689,7 @@ def eqcos_residual(
     - 2cos(theta_y)*2cos(theta_z) - 2cos(theta_x) is re-checked exactly.
     """
     if B.mode != EXACT:
-        raise ValueError("sigma_x must be exactly rational; use exact-mode boundary traces")
+        raise MixedModeError("sigma_x must be exactly rational; use exact-mode boundary traces")
     theta_x, theta_y, theta_z, theta_xy = thetas
     angles = (theta_xy, theta_z + theta_y, theta_z - theta_y, theta_x)
     L = math.lcm(*(2 * a.q for a in angles))

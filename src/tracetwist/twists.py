@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-from .scalars import EXACT, FLOAT, NeedsFloatModeError, Scalar, unify
+from .scalars import EXACT, Scalar, unify
 from .surface import (
     Axis,
     BoundaryTraces,
@@ -211,11 +211,11 @@ class RotationFrame:
 def to_rotation_frame(B: BoundaryTraces, p: TracePoint, axis: Axis) -> RotationFrame:
     """Polar coordinates of p within its own axis slice (float mode).
 
-    A point on a single-point slice (rhs == 0) is a fixed point of the
-    twist and comes back with radius zero; an empty slice is an error.
+    Exact input is converted to floats first.  A point on a single-point
+    slice (rhs == 0) is a fixed point of the twist and comes back with
+    radius zero; an empty slice is an error.
     """
-    if B.mode != FLOAT or p.mode != FLOAT:
-        raise NeedsFloatModeError("rotation frames are float-mode geometry")
+    B, p = B.to_float(), p.to_float()
     level = p.coord(axis)
     geom = level_set(B, axis, level)
     if geom.is_empty:

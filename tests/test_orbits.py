@@ -10,7 +10,6 @@ from tracetwist import (
     Axis,
     BoundaryTraces,
     MixedModeError,
-    NeedsFloatModeError,
     N_of_epsilon,
     TracePoint,
     TwistGenerator,
@@ -24,6 +23,7 @@ from tracetwist import (
     epsilon_density_on_level,
     exceptional_family,
     filtration,
+    is_in_F,
     level_range,
     level_set,
     lift_to_surface,
@@ -339,8 +339,6 @@ def test_minimality_criterion(minimal_B, markov_B):
     assert minimality_criterion(minimal_B)
     assert not minimality_criterion(BoundaryTraces(1, 1, 1, 1))
     assert not minimality_criterion(markov_B)
-    with pytest.raises(NeedsFloatModeError):
-        minimality_criterion(markov_B.to_float())
 
 
 def test_exceptional_family_example(exceptional_B):
@@ -354,20 +352,23 @@ def test_exceptional_family_conditions():
         exceptional_family(Fraction(1), Fraction(1))  # a^2 + c^2 <= 4
     with pytest.raises(ValueError):
         exceptional_family(Fraction(5, 2), Fraction(1))  # out of range
-    # float mode: both rotation numbers rational is refused
-    with pytest.raises(ValueError):
-        exceptional_family(1.0, 2 * math.cos(math.pi / 64))
 
 
 def test_exceptional_family_closure_random():
+    # is_in_F is the one rule: exceptional_family returns exactly on F and
+    # refuses every other pair with ValueError
     rng = random.Random(9)
     for _ in range(20):
         a = Fraction(rng.randint(-19, 19), 10)
         c = Fraction(rng.randint(-19, 19), 10)
-        if a * a + c * c <= 4 or (a in (0, 1, -1) and c in (0, 1, -1)):
-            continue
-        B, orbit = exceptional_family(a, c)  # closure is verified internally
-        assert len(orbit) == 2
+        in_F = is_in_F(a, c)
+        assert in_F == (a * a + c * c > 4 and not (a in (0, 1, -1) and c in (0, 1, -1)))
+        if in_F:
+            B, orbit = exceptional_family(a, c)  # closure is verified internally
+            assert len(orbit) == 2
+        else:
+            with pytest.raises(ValueError):
+                exceptional_family(a, c)
 
 
 def test_density_scan_exceptional_stays_put(exceptional_B):

@@ -84,8 +84,6 @@ def test_is_in_F_examples():
     assert not is_in_F(Fraction(0), 2 - Fraction(1, 10**6))
     with pytest.raises(ValueError):
         is_in_F(Fraction(5, 2), Fraction(0))
-    with pytest.raises(MixedModeError):
-        is_in_F(1.0, Fraction(7, 4))
 
 
 def test_explicit_point_sits_in_special_orbit():

@@ -26,8 +26,11 @@ from tracetwist import (
     cyclotomic_poly,
     eqcos_residual,
     eval_exact,
+    exceptional_family,
+    is_in_F,
     is_rational_relation,
     match_family,
+    minimality_criterion,
     normalize,
     t_family_instance,
 )
@@ -430,15 +433,20 @@ def test_conductor_must_be_positive(build):
         lambda: bounded_search(3, 1, (0.1,)),
         lambda: t_family_instance(0.1),
         lambda: CycloElement(12, (0.5, 0, 0, 0)),
+        lambda: minimality_criterion(BoundaryTraces(0.0, 0.0, 0.0, 0.0)),
+        lambda: eqcos_residual(BoundaryTraces(0.0, 0.0, 0.0, 0.0), (AngleFraction(1, 2),) * 4),
+        lambda: is_in_F(1.0, 7 / 4),
+        lambda: exceptional_family(1.0, 2 * math.cos(math.pi / 65)),
     ],
     ids=[
         "term", "rhs", "make-rhs", "from_rational", "scale", "bounded_search", "t_family",
-        "constructor",
+        "constructor", "minimality", "eqcos_residual", "is_in_F", "exceptional_family",
     ],
 )
 def test_floats_never_enter_exact_arithmetic(build):
     # bounded_search(3, 1, (0.1,)) used to certify a binary fraction times
-    # cos(pi/3) as family 1
+    # cos(pi/3) as family 1; exceptional_family used to decide float
+    # membership in F within a tolerance
     with pytest.raises(MixedModeError):
         build()
 
@@ -553,12 +561,6 @@ def test_eqcos_residual_crosscheck_needs_larger_conductor():
     B = BoundaryTraces(1, Fraction(1, 2), 1, Fraction(-1, 2))
     thetas = (AngleFraction(1, 3), AngleFraction(1, 6), AngleFraction(1, 2), AngleFraction(2, 3))
     assert eqcos_residual(B, thetas) == Fraction(0)
-
-
-def test_eqcos_residual_requires_exact(markov_B):
-    right = AngleFraction(1, 2)
-    with pytest.raises(ValueError):
-        eqcos_residual(markov_B.to_float(), (right, right, right, right))
 
 
 def test_eqcos_residual_cyclic_permutation(markov_B):

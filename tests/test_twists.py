@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from tracetwist import (
     Axis,
     BoundaryTraces,
-    NeedsFloatModeError,
     TracePoint,
     TwistGenerator,
     TwistWord,
@@ -255,8 +254,9 @@ def test_rotation_frame_fixed_point(exceptional_B):
 
 
 def test_rotation_frame_errors(exceptional_B):
-    with pytest.raises(NeedsFloatModeError):
-        to_rotation_frame(exceptional_B, TracePoint(-1, 0, 0), Axis.X)
+    # exact input is converted at the edge, not refused
+    exact = to_rotation_frame(exceptional_B, TracePoint(-1, 0, 0), Axis.X)
+    assert exact == to_rotation_frame(exceptional_B.to_float(), TracePoint(-1.0, 0.0, 0.0), Axis.X)
     with pytest.raises(ValueError):
         to_rotation_frame(exceptional_B.to_float(), TracePoint(-0.5, 0.0, 0.0), Axis.X)
 
