@@ -264,11 +264,14 @@ def is_in_F(a: Fraction, c: Fraction) -> bool:
 def twist_period(
     B: BoundaryTraces, p: TracePoint, axis: Axis, max_q: int = 64
 ) -> int | None:
-    """Period of the axis twist on a non-fixed point, or None if infinite.
+    """Period of the axis twist on a non-fixed point, or None.
 
     A level 2cos(pi p/q) rotates its slice by 2*pi*p/q, so the order is q;
     the returned period is re-verified by iterating the twist (exactly in
-    exact mode, within 1e-8 box drift in float mode).
+    exact mode, within 1e-8 box drift in float mode).  In exact mode None
+    means the period is infinite (Niven's theorem).  In float mode it means
+    only that no q <= max_q matched the level within `TOL_SURFACE`; a
+    larger max_q may still find a period.
     """
     g = TwistGenerator(axis, 1)
     if box_distance(apply_generator(B, p, g), p) <= (0 if p.mode == EXACT else 1e-12):

@@ -494,20 +494,26 @@ def _search_angles(max_q: int) -> list[AngleFraction]:
     return sorted(AngleFraction(p, q) for p, q in _reduced(max_q) if 2 * p < q)
 
 
-def _half_sums(r: int, n: int, scaled: list[float], cos_values: list[float]):
+def _half_sums(r: int, products: list[list[float]], firsts: list[int]):
     """Every r-term half as (angle indices, coefficient indices, float sum).
 
-    Angle indices ascend and the order is the brute-force one: combinations
-    of angles, then coefficient assignments.
+    ``products[i][j]`` is scaled coefficient j times the cosine of angle i;
+    the first term takes only the coefficient indices in ``firsts``.  Angle
+    indices ascend and the order is the brute-force one: combinations of
+    angles, then coefficient assignments.
     """
-    products = [[s * v for s in scaled] for v in cos_values]
-    assignments = list(itertools.product(range(len(scaled)), repeat=r))
-    for idx in itertools.combinations(range(n), r):
-        for asg, terms in zip(assignments, itertools.product(*(products[i] for i in idx))):
+    if r == 0:
+        yield (), (), 0.0
+        return
+    heads = [[row[j] for j in firsts] for row in products]
+    assignments = list(itertools.product(firsts, *[range(len(products[0]))] * (r - 1)))
+    for idx in itertools.combinations(range(len(products)), r):
+        rows = (heads[idx[0]], *(products[i] for i in idx[1:]))
+        for asg, terms in zip(assignments, itertools.product(*rows)):
             yield idx, asg, sum(terms)
 
 
-def _half_index(r: int, n: int, scaled: list[float], cos_values: list[float]):
+def _half_index(r: int, products: list[list[float]], firsts: list[int]):
     """The r-term halves sorted by the fractional part of their sum.
 
     Returns ``(keys, halves)``: ``halves[i]`` is ``(angle indices,
@@ -520,12 +526,14 @@ def _half_index(r: int, n: int, scaled: list[float], cos_values: list[float]):
     searches build 2,380 (``max_q=15``, coefficients (1, -1)) and 1,620
     (``max_q=8``, the default six).
     """
-    halves = [(idx, asg, h % 1.0) for idx, asg, h in _half_sums(r, n, scaled, cos_values)]
+    halves = [(idx, asg, h % 1.0) for idx, asg, h in _half_sums(r, products, firsts)]
     halves.sort(key=itemgetter(2))
     return [half[2] for half in halves], halves
 
 
-def _screen(n: int, max_terms: int, scaled: list[float], cos_values: list[float], tol: float):
+def _screen(
+    n: int, max_terms: int, scaled: list[float], cos_values: list[float], tol: float, firsts
+):
     """Every (k, combo, assignment) whose float sum lies within tol of an integer.
 
     Meet in the middle: a k-term combination splits into a left half of its
@@ -541,16 +549,22 @@ def _screen(n: int, max_terms: int, scaled: list[float], cos_values: list[float]
     screen passes.  Overlapping windows visit a position once.  Each pair
     found is re-tested with the full screen expression, in combination
     order, and the passes come back sorted in the brute-force enumeration
-    order.
+    order, except those whose first coefficient index is not in ``firsts``:
+    their left halves are never summed.  Under the sign rule of
+    `bounded_search` that drops each R whose negation -R comes earlier in
+    that order, and -R passes exactly when R does (floats negate exactly,
+    and ``round`` is symmetric).
     """
     max_terms = min(max_terms, n)  # no index for halves of combinations that cannot exist
     slack = 2.0**-40 * (1 + max_terms * max(map(abs, scaled)))
     width = tol + slack
-    index = {r: _half_index(r, n, scaled, cos_values) for r in range(max_terms // 2 + 1)}
+    products = [[s * v for s in scaled] for v in cos_values]
+    every = list(range(len(scaled)))
+    index = {r: _half_index(r, products, every) for r in range(max_terms // 2 + 1)}
     passes = []
     for k in range(1, max_terms + 1):
         keys, halves = index[k // 2]
-        for left, left_asg, h in _half_sums((k + 1) // 2, n, scaled, cos_values):
+        for left, left_asg, h in _half_sums((k + 1) // 2, products, firsts):
             t = 1.0 - h % 1.0
             seen = 0
             for centre in (t - 1.0, t, t + 1.0):
@@ -583,7 +597,15 @@ def bounded_search(
     and a candidate it calls ``reducible`` (one whose angles carry another,
     independent rational relation) is dropped.  Proportional duplicates
     keep their first-enumerated representative, in the order combinations
-    of angles, then coefficient assignments, by increasing term count.
+    of angles, then coefficient assignments, by increasing term count, and
+    each class is decided once: only its first screen pass, keyed by
+    (angle, coefficient / first coefficient), reaches the exact stage, as
+    rationality and reducibility are the same for every multiple.  Sign
+    rule: scaling by -1 is the only scaling that can map a finite set of
+    nonzero rationals onto itself (``max|l*s| = |l|*max|s|``), so when
+    ``coeff_set`` is closed under negation the screen leaves out each
+    combination whose first coefficient has its negation listed earlier;
+    -R, met first, stands for R.
 
     The screen is a lattice test.  2*cos(pi*p/q) is an algebraic integer,
     so if every coefficient denominator divides D, a rationally valued
@@ -645,29 +667,25 @@ def bounded_search(
     scaled = [lattice * float(c) for c in coeffs]
     tol = lattice * 1e-9
 
+    negation_closed = set(coeffs) == {-c for c in coeffs}
+    firsts = [j for j, c in enumerate(coeffs) if not (negation_closed and -c in coeffs[:j])]
+
     results: list[tuple[CJRelation, Classification]] = []
-    seen_keys: set = set()
-    for _, combo, assignment in _screen(n, max_terms, scaled, cos_values, tol):
-        rel = CJRelation(
-            tuple(CJTerm(coeffs[j], angles[i]) for j, i in zip(assignment, combo)),
-            Fraction(0),
-        )
-        value = is_rational_relation(rel)
+    decided: set = set()
+    for _, combo, assignment in _screen(n, max_terms, scaled, cos_values, tol, firsts):
+        terms = tuple(CJTerm(coeffs[j], angles[i]) for j, i in zip(assignment, combo))
+        lead = terms[0].coeff
+        key = tuple((t.angle, t.coeff / lead) for t in terms)
+        if key in decided:
+            continue
+        decided.add(key)
+        value = is_rational_relation(CJRelation(terms, Fraction(0)))
         if value is None:
             continue
-        found = CJRelation(rel.terms, value)
-        lead = found.terms[0].coeff
-        key = (
-            tuple((t.angle, t.coeff / lead) for t in found.terms),
-            value / lead,
-        )
-        if key in seen_keys:
-            continue
+        found = CJRelation(terms, value)
         cls = match_family(found)
-        if cls.kind == "reducible":
-            continue
-        seen_keys.add(key)
-        results.append((found, cls))
+        if cls.kind != "reducible":
+            results.append((found, cls))
     return results
 
 

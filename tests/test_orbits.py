@@ -180,6 +180,14 @@ def test_twist_period_float_sqrt2(markov_B):
     assert twist_period(B, p, Axis.Y, max_q=8) == 4
 
 
+def test_twist_period_float_none_is_only_no_match_up_to_max_q():
+    # float None certifies nothing: the period 65 lies beyond the default max_q
+    B = BoundaryTraces(0.0, 0.0, 0.0, 0.0)
+    p = lift_to_surface(B, 2 * math.cos(math.pi / 65), 0.1)[0]
+    assert twist_period(B, p, Axis.X) is None
+    assert twist_period(B, p, Axis.X, max_q=70) == 65
+
+
 def test_twist_period_fixed_point_rejected(exceptional_B):
     with pytest.raises(ValueError):
         twist_period(exceptional_B, TracePoint(-1, 0, 0), Axis.X)

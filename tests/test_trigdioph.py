@@ -318,26 +318,76 @@ _DEFAULT_COEFFS = (1, -1, Fraction(1, 2), Fraction(-1, 2), 2, -2)
 _WIDE_LATTICE = (1, -1, Fraction(1, 1000))  # tol 2e-6
 
 
+# coefficient orders for the sign rule: three sets closed under negation, one
+# of them with a repeated value, and two sets that are not closed
+_SIGN_ORDERS = ((-1, 1), (-2, -1, 1, 2), (1, 1, -1), (1, 2, -1), (1, -1, -2))
+
+
 @pytest.mark.parametrize(
     "max_q, coeffs",
     [(q, (1, -1)) for q in range(3, 16)]
     + [(q, _DEFAULT_COEFFS) for q in range(3, 10)]
-    + [(q, _WIDE_LATTICE) for q in range(3, 8)],
+    + [(q, _WIDE_LATTICE) for q in range(3, 8)]
+    + [(q, coeffs) for coeffs in _SIGN_ORDERS for q in (5, 8, 11)],
 )
 def test_bounded_search_matches_brute_force(max_q, coeffs):
     # same results in the same order, so the same first-enumerated representatives
     assert repr(bounded_search(max_q, 4, coeffs)) == repr(_brute_force_search(max_q, 4, coeffs))
 
 
+def _sign_rule_firsts(coeffs):
+    # the first coefficients a pass may have: all, unless the set is closed
+    # under negation, when c goes if -c is listed before it
+    if set(coeffs) != {-c for c in coeffs}:
+        return list(range(len(coeffs)))
+    return [j for j, c in enumerate(coeffs) if -c not in coeffs[:j]]
+
+
 @pytest.mark.parametrize(
     "max_q, max_terms, coeffs",
     [(12, 4, (1, -1)), (8, 4, _DEFAULT_COEFFS), (7, 4, _WIDE_LATTICE), (9, 3, (1,)),
-     (6, 2, (Fraction(1, 5001), -1)), (4, 4, tuple(range(-20, 0)) + tuple(range(1, 21)))],
+     (6, 2, (Fraction(1, 5001), -1)), (4, 4, tuple(range(-20, 0)) + tuple(range(1, 21))),
+     (9, 4, (1, 2, -1)), (9, 4, (1, -1, -2)), (9, 4, (-2, -1, 1, 2)), (9, 4, (1, 1, -1))],
 )
 def test_screen_passes_the_brute_force_set_in_its_order(max_q, max_terms, coeffs):
-    _, angles, cos_values, scaled, tol = _screen_inputs(max_q, coeffs)
+    coeffs, angles, cos_values, scaled, tol = _screen_inputs(max_q, coeffs)
     args = (len(angles), max_terms, scaled, cos_values, tol)
-    assert _screen(*args) == _brute_force_screen(*args)
+    firsts = _sign_rule_firsts(coeffs)
+    expected = [p for p in _brute_force_screen(*args) if p[2][0] in firsts]
+    assert _screen(*args, firsts) == expected
+
+
+@pytest.mark.parametrize(
+    "args, decisions", [((15, 4, (1, -1)), 26), ((8, 4), 23), ((15, 4, (1, -1, -2)), 46)]
+)
+def test_bounded_search_decides_each_proportional_class_once(monkeypatch, args, decisions):
+    # the two perfbench searches and the asymmetric CI one: the brute-force
+    # screen passes 26, 23 and 46 proportional classes, all rational, and
+    # each gets one exact call and one match_family call
+    trigdioph = tracetwist.trigdioph
+    exact, match = trigdioph.is_rational_relation, trigdioph.match_family
+    exact_calls, match_calls, inside_match = [], [], []
+
+    def counted_exact(rel):
+        if not inside_match:
+            exact_calls.append(rel)
+        return exact(rel)
+
+    def counted_match(rel):
+        match_calls.append(rel)
+        inside_match.append(rel)
+        try:
+            return match(rel)
+        finally:
+            inside_match.pop()
+
+    monkeypatch.setattr(trigdioph, "is_rational_relation", counted_exact)
+    monkeypatch.setattr(trigdioph, "match_family", counted_match)
+    bounded_search(*args)
+    assert len(exact_calls) == len(match_calls) == decisions
+    for calls in (exact_calls, match_calls):
+        keys = {_proportional_key(rel)[0] for rel in calls}
+        assert len(keys) == len(calls)
 
 
 def test_bounded_search_largest_pm1_input_is_classified():
