@@ -360,8 +360,8 @@ def eval_exact(rel: CJRelation) -> CycloElement:
 
 def is_rational_relation(rel: CJRelation) -> Fraction | None:
     """The exact rational value of the term sum, or None if irrational."""
-    value = eval_exact(CJRelation(rel.terms, Fraction(0)))
-    return value.rational_value()
+    pairs = [(t.coeff, t.angle) for t in rel.terms]
+    return _cosine_sum(rel.conductor(), pairs, Fraction(0)).rational_value()
 
 
 # The minimal rational relations with at most four distinct angles strictly
@@ -444,22 +444,29 @@ def _has_rational_proper_subset(terms: tuple[CJTerm, ...]) -> bool:
 
 
 def match_family(rel: CJRelation) -> Classification:
-    """Identify which minimal family a rationally valued relation scales to.
+    """Identify which minimal family a relation that holds exactly scales to.
 
     The relation is normalized first; a relation whose angles carry another,
     independent rational relation (so some proper subset of its angles
-    carries one) is reported as reducible rather than matched.
-    Raises ValueError if the relation is not rationally valued.
+    carries one) is reported as reducible rather than matched.  Raises
+    ValueError if the term sum is irrational or differs from the right side.
     """
     nrel = normalize(rel)
-    value = is_rational_relation(nrel)
+    decided = _decide(nrel.terms)
+    if decided is None or decided[0] != nrel.rhs:
+        raise ValueError(f"relation does not hold exactly: {rel.describe()}")
+    return decided[1]
+
+
+def _decide(terms: tuple[CJTerm, ...]) -> tuple[Fraction, Classification] | None:
+    """(term sum, classification) of terms in `normalize` form; None if irrational."""
+    value = is_rational_relation(CJRelation(terms))
     if value is None:
-        raise ValueError("relation is not rationally valued")
-    terms = nrel.terms
+        return None
     if not terms:
-        return Classification("empty")
+        return value, Classification("empty")
     if len(terms) > 1 and _has_rational_proper_subset(terms):
-        return Classification("reducible")
+        return value, Classification("reducible")
     angles = tuple(t.angle for t in terms)
     for index, fam in _FIXED_FAMILIES.items():
         if angles != tuple(t.angle for t in fam.terms):
@@ -467,7 +474,7 @@ def match_family(rel: CJRelation) -> Classification:
         scale = terms[0].coeff / fam.terms[0].coeff
         if all(t.coeff == scale * f.coeff for t, f in zip(terms, fam.terms)):
             if value == scale * fam.rhs:
-                return Classification("family", family=index, scale=scale)
+                return value, Classification("family", family=index, scale=scale)
     if len(terms) == 3 and value == 0:
         t1, t2, t3 = (t.angle.fraction for t in terms)
         c1, c2, c3 = (t.coeff for t in terms)
@@ -477,8 +484,8 @@ def match_family(rel: CJRelation) -> Classification:
             and 0 < t1 < Fraction(1, 6)
             and c2 == c3 == -c1
         ):
-            return Classification("family", family=2, scale=c2, t=t1)
-    return Classification("unclassified")
+            return value, Classification("family", family=2, scale=c2, t=t1)
+    return value, Classification("unclassified")
 
 
 def conway_jones_list(t: Fraction = Fraction(1, 12)) -> list[CJRelation]:
@@ -592,15 +599,16 @@ def bounded_search(
 ) -> list[tuple[CJRelation, Classification]]:
     """All minimal rational relations with distinct angles pi*p/q in (0, pi/2).
 
-    Candidates pass one double-precision screen and are then confirmed in
-    exact cyclotomic arithmetic; `match_family` decides minimality exactly
-    and a candidate it calls ``reducible`` (one whose angles carry another,
-    independent rational relation) is dropped.  Proportional duplicates
-    keep their first-enumerated representative, in the order combinations
-    of angles, then coefficient assignments, by increasing term count, and
-    each class is decided once: only its first screen pass, keyed by
-    (angle, coefficient / first coefficient), reaches the exact stage, as
-    rationality and reducibility are the same for every multiple.  Sign
+    Two stages: a double-precision screen, then one exact decision per
+    proportional class (`_decide`: value, minimality and family together,
+    in cyclotomic arithmetic, on candidates already in normal form).  A
+    ``reducible`` candidate (one whose angles carry another, independent
+    rational relation) is dropped.  Proportional duplicates keep their
+    first-enumerated representative, in the order combinations of angles,
+    then coefficient assignments, by increasing term count: only the first
+    screen pass of a class, keyed by (angle, coefficient / first
+    coefficient), reaches the exact stage, as rationality and reducibility
+    are the same for every multiple.  Sign
     rule: scaling by -1 is the only scaling that can map a finite set of
     nonzero rationals onto itself (``max|l*s| = |l|*max|s|``), so when
     ``coeff_set`` is closed under negation the screen leaves out each
@@ -679,13 +687,11 @@ def bounded_search(
         if key in decided:
             continue
         decided.add(key)
-        value = is_rational_relation(CJRelation(terms, Fraction(0)))
-        if value is None:
+        outcome = _decide(terms)
+        if outcome is None or outcome[1].kind == "reducible":
             continue
-        found = CJRelation(terms, value)
-        cls = match_family(found)
-        if cls.kind != "reducible":
-            results.append((found, cls))
+        value, cls = outcome
+        results.append((CJRelation(terms, value), cls))
     return results
 
 

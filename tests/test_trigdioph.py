@@ -167,6 +167,10 @@ def test_match_family_examples():
     cls = match_family(CJRelation.make([(2, 1, 3)], 1))
     assert cls.kind == "family" and cls.family == 1 and cls.scale == 2
 
+    # the true neighbour of a false relation in the refusal test below
+    cls = match_family(CJRelation.make([(1, 0, 1), (1, 1, 3)], Fraction(3, 2)))
+    assert cls.kind == "family" and cls.family == 1 and cls.scale == 1
+
     cls = match_family(
         CJRelation.make([(1, 5, 12), (1, 1, 4), (-1, 1, 12)], 0)
     )
@@ -179,6 +183,24 @@ def test_match_family_reducible_and_errors():
     assert match_family(CJRelation((), 0)).kind == "empty"
     with pytest.raises(ValueError):
         match_family(CJRelation.make([(1, 1, 5)], 0))
+
+
+@pytest.mark.parametrize(
+    "triples, rhs",
+    [
+        ([(1, 1, 3)], 7),
+        ([(1, 0, 1), (1, 1, 3)], Fraction(1, 2)),
+        ([], 3),
+        ([(1, 1, 5), (-1, 2, 5)], 0),
+        ([(1, 5, 12), (1, 1, 4), (-1, 1, 12)], 1),
+    ],
+)
+def test_match_family_refuses_relations_that_do_not_hold(triples, rhs):
+    # each term sum is rational, but not the right side
+    rel = CJRelation.make(triples, rhs)
+    assert not eval_exact(rel).is_zero()
+    with pytest.raises(ValueError, match="does not hold exactly"):
+        match_family(rel)
 
 
 def test_match_family_negated_instance():
@@ -363,31 +385,51 @@ def test_screen_passes_the_brute_force_set_in_its_order(max_q, max_terms, coeffs
 def test_bounded_search_decides_each_proportional_class_once(monkeypatch, args, decisions):
     # the two perfbench searches and the asymmetric CI one: the brute-force
     # screen passes 26, 23 and 46 proportional classes, all rational, and
-    # each gets one exact call and one match_family call
+    # each gets one exact decision, with one exact evaluation and no second
+    # normalization or classification through match_family
     trigdioph = tracetwist.trigdioph
-    exact, match = trigdioph.is_rational_relation, trigdioph.match_family
-    exact_calls, match_calls, inside_match = [], [], []
+    decide, exact = trigdioph._decide, trigdioph.is_rational_relation
+    decided, exact_calls = [], []
+
+    def counted_decide(terms):
+        decided.append(terms)
+        return decide(terms)
 
     def counted_exact(rel):
-        if not inside_match:
-            exact_calls.append(rel)
+        exact_calls.append(rel)
         return exact(rel)
 
-    def counted_match(rel):
-        match_calls.append(rel)
-        inside_match.append(rel)
-        try:
-            return match(rel)
-        finally:
-            inside_match.pop()
+    def refused(*_):
+        raise AssertionError("bounded_search must not call match_family or normalize")
 
+    monkeypatch.setattr(trigdioph, "_decide", counted_decide)
     monkeypatch.setattr(trigdioph, "is_rational_relation", counted_exact)
-    monkeypatch.setattr(trigdioph, "match_family", counted_match)
+    monkeypatch.setattr(trigdioph, "match_family", refused)
+    monkeypatch.setattr(trigdioph, "normalize", refused)
     bounded_search(*args)
-    assert len(exact_calls) == len(match_calls) == decisions
-    for calls in (exact_calls, match_calls):
-        keys = {_proportional_key(rel)[0] for rel in calls}
-        assert len(keys) == len(calls)
+    assert len(decided) == len(exact_calls) == decisions
+    keys = {_proportional_key(CJRelation(terms))[0] for terms in decided}
+    assert len(keys) == decisions
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(15, 4, (1, -1)), (8, 4)] + [(11, 4, coeffs) for coeffs in _SIGN_ORDERS],
+)
+def test_bounded_search_decides_only_normal_forms(monkeypatch, args):
+    # _decide takes terms in normal form; the search builds them so
+    trigdioph = tracetwist.trigdioph
+    decide, seen = trigdioph._decide, []
+
+    def checked_decide(terms):
+        rel = CJRelation(terms)
+        assert normalize(rel) == rel
+        seen.append(terms)
+        return decide(terms)
+
+    monkeypatch.setattr(trigdioph, "_decide", checked_decide)
+    bounded_search(*args)
+    assert seen
 
 
 def test_bounded_search_largest_pm1_input_is_classified():
