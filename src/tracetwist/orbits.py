@@ -76,37 +76,36 @@ def _snap_key(c, snap: float) -> tuple[int, int, int]:
     return (round(c[0] / snap), round(c[1] / snap), round(c[2] / snap))
 
 
-class _BoxIndex:
-    """Grid hash over float (x, y, z) tuples for neighbor queries in the box metric.
+def _box_neighbours(points, radius: float):
+    """Bucket float (x, y, z) tuples once; return the box-metric query ``near``.
 
-    A query of radius at most ``radius`` looks at the 27 cells around the
-    query point.  The cells are slightly wider than ``radius``, so that a
-    point closer than ``radius`` is at most one cell away even after the
-    rounding in ``floor(x / cell)``; with cells exactly ``radius`` wide it
-    can land two cells away and be missed.
+    ``near(p)`` is true when some point lies strictly within ``radius`` of p,
+    and it looks at the 27 cells around p.  The cells are slightly wider
+    than ``radius``, so that a point closer than ``radius`` is at most one
+    cell away even after the rounding in ``floor(x / cell)``; with cells
+    exactly ``radius`` wide it can land two cells away and be missed.
     """
+    cell = radius * (1 + 1e-6)
 
-    def __init__(self, radius: float):
-        self.cell = radius * (1 + 1e-6)
-        self.buckets: dict[tuple[int, int, int], list[tuple]] = defaultdict(list)
+    def key(p) -> tuple[int, int, int]:
+        return (math.floor(p[0] / cell), math.floor(p[1] / cell), math.floor(p[2] / cell))
 
-    def _key(self, p: tuple) -> tuple[int, int, int]:
-        c = self.cell
-        return (math.floor(p[0] / c), math.floor(p[1] / c), math.floor(p[2] / c))
+    buckets = defaultdict(list)
+    for p in points:
+        buckets[key(p)].append(p)
 
-    def add(self, p: tuple) -> None:
-        self.buckets[self._key(p)].append(p)
-
-    def any_within(self, p: tuple, eps: float) -> bool:
+    def near(p) -> bool:
         x, y, z = p
-        kx, ky, kz = self._key(p)
+        kx, ky, kz = key(p)
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
                 for dz in (-1, 0, 1):
-                    for q in self.buckets.get((kx + dx, ky + dy, kz + dz), ()):
-                        if max(abs(x - q[0]), abs(y - q[1]), abs(z - q[2])) < eps:
+                    for q in buckets.get((kx + dx, ky + dy, kz + dz), ()):
+                        if max(abs(x - q[0]), abs(y - q[1]), abs(z - q[2])) < radius:
                             return True
         return False
+
+    return near
 
 
 @dataclass(frozen=True)
@@ -306,14 +305,10 @@ def epsilon_density_on_level(
     a_sum, a_diff = geom.semi_axes()
     speed = (a_sum + a_diff) / 2.0  # bounds the box-metric speed of the parameterization
     n_grid = max(8, math.ceil(8 * math.pi * speed / eps))
-    index = _BoxIndex(eps)
-    for pt in orbit:
-        index.add(pt.to_float().as_tuple())
-    for j in range(n_grid):
-        gp = geom.point_at_angle(2 * math.pi * j / n_grid).as_tuple()
-        if not index.any_within(gp, eps):
-            return False
-    return True
+    near = _box_neighbours((pt.to_float().as_tuple() for pt in orbit), eps)
+    return all(
+        near(geom.point_at_angle(2 * math.pi * j / n_grid).as_tuple()) for j in range(n_grid)
+    )
 
 
 def N_of_epsilon(B: BoundaryTraces, eps: float) -> int:
@@ -347,9 +342,11 @@ def minimality_criterion(B: BoundaryTraces) -> bool:
     """Do at least two sigma invariants lie in Q minus the integers?
 
     The sigma invariants are trapped in (-8, 8), so excluding the integer
-    band -8..8 amounts to excluding all integers.  When this holds, every
-    orbit on the surface is dense.  Exact traces only: float rationality is
-    undecidable, so float traces raise :class:`MixedModeError`.
+    band -8..8 amounts to excluding all integers.  This is a condition on B
+    alone, not a density theorem: on B = (1/2, 1/2, 1/2, 0) it holds, yet
+    the surface point (1, 1, 1), inside S_x, has a finite orbit of four
+    points.  Exact traces only: float rationality is undecidable, so float
+    traces raise :class:`MixedModeError`.
     """
     if B.mode != EXACT:
         raise MixedModeError("rationality of sigma invariants needs exact boundary traces")
@@ -418,10 +415,8 @@ def density_scan(
     current = p0.to_float().as_tuple()
     rng = random.Random(seed)
     snap = eps / 10.0
-    seen = {_snap_key(current, snap)}
-    radius = eps * (1 + 1e-12)
-    index = _BoxIndex(radius)
-    index.add(current)
+    # Dedup key -> first point seen there, as in enumerate_orbit.
+    seen = {_snap_key(current, snap): current}
     moves = [_STEPS[g] for g in GENERATORS]
     alternation = (_STEPS[TwistGenerator(Axis.X, 1)], _STEPS[TwistGenerator(Axis.Y, 1)])
     last_new = 0
@@ -433,11 +428,11 @@ def density_scan(
         current = _twist(sigma, current, steps)
         k = _snap_key(current, snap)
         if k not in seen:
-            seen.add(k)
-            index.add(current)
+            seen[k] = current
             last_new = step
 
-    covered = sum(1 for gp in grid_points if index.any_within(gp.as_tuple(), radius))
+    near = _box_neighbours(seen.values(), eps * (1 + 1e-12))
+    covered = sum(1 for gp in grid_points if near(gp.as_tuple()))
     return DensityReport(
         covered_fraction=covered / len(grid_points),
         truncated=last_new >= 0.9 * budget,

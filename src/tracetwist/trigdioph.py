@@ -319,7 +319,9 @@ class CJRelation:
             mag = abs(t.coeff)
             coeff = "" if mag == 1 else f"{mag}*"
             num = "" if t.angle.p == 1 else str(t.angle.p)
-            parts.append(f"{sign} {coeff}cos({num}pi/{t.angle.q})")
+            den = "" if t.angle.q == 1 else f"/{t.angle.q}"
+            angle = "0" if t.angle.p == 0 else f"{num}pi{den}"
+            parts.append(f"{sign} {coeff}cos({angle})")
         lhs = " ".join(parts).lstrip("+ ")
         return f"{lhs} = {self.rhs}"
 

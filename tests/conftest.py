@@ -49,7 +49,7 @@ def markov_B() -> BoundaryTraces:
 
 @pytest.fixture
 def minimal_B() -> BoundaryTraces:
-    """Boundary data meeting the two-nonintegral-sigma density criterion."""
+    """Boundary data meeting the two-nonintegral-sigma `minimality_criterion`."""
     return BoundaryTraces(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 3))
 
 

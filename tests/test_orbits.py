@@ -9,8 +9,11 @@ from tracetwist import (
     AngleFraction,
     Axis,
     BoundaryTraces,
+    ComponentClass,
+    DensityReport,
     MixedModeError,
     N_of_epsilon,
+    Surd,
     TracePoint,
     TwistGenerator,
     TwistWord,
@@ -24,6 +27,7 @@ from tracetwist import (
     exceptional_family,
     filtration,
     is_in_F,
+    kappa,
     level_range,
     level_set,
     lift_to_surface,
@@ -32,7 +36,7 @@ from tracetwist import (
     to_rotation_frame,
     twist_period,
 )
-from tracetwist.orbits import _BoxIndex
+from tracetwist.orbits import _box_neighbours
 from tracetwist.twists import GENERATORS
 from conftest import MINIMAL_SURFACE_POINT, rand_boundary
 
@@ -349,6 +353,23 @@ def test_minimality_criterion(minimal_B, markov_B):
     assert not minimality_criterion(markov_B)
 
 
+def test_minimality_criterion_admits_a_finite_orbit():
+    # the criterion is no density theorem: it holds here, yet (1, 1, 1) lies
+    # on the surface, inside S_x, and its orbit is a certified 4-point set
+    B = BoundaryTraces(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 0)
+    p = TracePoint(1, 1, 1)
+    assert minimality_criterion(B)
+    assert kappa(B, p) == 0
+    component, (lo, hi) = classify(B)
+    assert component == ComponentClass.SU2
+    assert lo == Surd(Fraction(-7, 4)) and hi == Surd(0, Fraction(1, 2), 15)
+    assert lo < p.x < hi
+    result = enumerate_orbit(B, p, 100)
+    assert result.is_finite
+    m = Fraction(-7, 4)
+    assert result.points == {p, TracePoint(m, 1, 1), TracePoint(1, m, 1), TracePoint(1, 1, m)}
+
+
 def test_exceptional_family_example(exceptional_B):
     B, orbit = exceptional_family(Fraction(1), Fraction(7, 4))
     assert B == exceptional_B
@@ -400,6 +421,21 @@ def test_density_scan_deterministic(minimal_B):
     r1 = density_scan(minimal_B, p0, eps=0.15, budget=5000, seed=7)
     r2 = density_scan(minimal_B, p0, eps=0.15, budget=5000, seed=7)
     assert r1 == r2
+
+
+@pytest.mark.parametrize(
+    "eps, budget, grid, seed, expected",
+    [
+        (0.01, 100_000, (24, 24), 0, DensityReport(0.5434027777777778, True, 87_070, 576)),
+        (0.003, 30_000, (40, 40), 9, DensityReport(0.01, True, 26_259, 1600)),
+    ],
+)
+def test_density_scan_pins_a_partial_coverage(minimal_B, eps, budget, grid, seed, expected):
+    # the README start, at radii the walk does not yet fill
+    report = density_scan(
+        minimal_B, TracePoint(0.0, 0.5, -1.55), eps=eps, budget=budget, grid=grid, seed=seed
+    )
+    assert report == expected
 
 
 def test_density_scan_validation(minimal_B):
@@ -481,10 +517,8 @@ def test_box_index_finds_a_neighbour_across_two_cell_edges():
     # away; density_scan queries at eps*(1 + 1e-12), and this used to miss it
     q = (0.1 * (1 - 0.25e-12), 0.05, 0.05)
     p = (q[0] + 0.1 * (1 + 0.6e-12), 0.05, 0.05)
-    index = _BoxIndex(0.1)
-    index.add(p)
     assert max(abs(a - b) for a, b in zip(p, q)) < 0.1 * (1 + 1e-12)
-    assert index.any_within(q, 0.1 * (1 + 1e-12))
+    assert _box_neighbours([p], 0.1 * (1 + 1e-12))(q)
 
 
 @pytest.mark.parametrize("radius", [0.1, 1 / 3, 0.03, 2.5e-4])
@@ -505,9 +539,7 @@ def test_box_index_matches_brute_force_at_cell_edges(radius):
         points.append(base)
         step = radius * (1 + rng.choice((-1, 1)) * rng.randrange(4) * 1e-15)
         points.append((base[0] + rng.choice((-1, 1)) * step, base[1], base[2]))
-    index = _BoxIndex(radius)
-    for pt in points[1::2]:
-        index.add(pt)
+    near = _box_neighbours(points[1::2], radius)
     for q in points[::2]:
         brute = any(max(abs(a - b) for a, b in zip(q, pt)) < radius for pt in points[1::2])
-        assert index.any_within(q, radius) == brute
+        assert near(q) == brute

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -200,6 +201,14 @@ def test_match_family_refuses_relations_that_do_not_hold(triples, rhs):
     rel = CJRelation.make(triples, rhs)
     assert not eval_exact(rel).is_zero()
     with pytest.raises(ValueError, match="does not hold exactly"):
+        match_family(rel)
+
+
+def test_describe_prints_angles_zero_and_pi_plainly():
+    rel = CJRelation.make([(1, 0, 1), (1, 1, 3)], Fraction(1, 2))
+    assert rel.describe() == "cos(0) + cos(pi/3) = 1/2"
+    assert CJRelation.make([(2, 1, 1), (-1, 5, 3)], 1).describe() == "2*cos(pi) - cos(5pi/3) = 1"
+    with pytest.raises(ValueError, match=re.escape("exactly: cos(0) + cos(pi/3) = 1/2")):
         match_family(rel)
 
 
