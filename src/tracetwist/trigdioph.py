@@ -27,7 +27,6 @@ from operator import itemgetter
 
 from .angles import AngleFraction, _reduced
 from .scalars import EXACT, MixedModeError, as_fraction
-from .surface import BoundaryTraces
 
 CONDUCTOR_LIMIT = 10_000
 
@@ -337,10 +336,8 @@ def normalize(rel: CJRelation) -> CJRelation:
     rhs = rel.rhs
     merged: dict[AngleFraction, Fraction] = {}
     for term in rel.terms:
-        t = term.angle.fraction
+        t = term.angle.trace_canonical().fraction
         coeff = term.coeff
-        if t > 1:
-            t = 2 - t
         if t > Fraction(1, 2):
             t = 1 - t
             coeff = -coeff
@@ -522,24 +519,6 @@ def _half_sums(r: int, products: list[list[float]], firsts: list[int]):
             yield idx, asg, sum(terms)
 
 
-def _half_index(r: int, products: list[list[float]], firsts: list[int]):
-    """The r-term halves sorted by the fractional part of their sum.
-
-    Returns ``(keys, halves)``: ``halves[i]`` is ``(angle indices,
-    coefficient indices, keys[i])`` and ``keys`` the sorted fractional
-    parts; the sort is stable, so ties keep enumeration order.  Plain lists
-    are enough: under the search guards (``max_q <= 30``, at most
-    20,000,000 combinations) the table holds at most 25,350 halves (65
-    coefficients over the 4 angles of ``max_q=5``: C(4, 2) * 65**2), and
-    11,100 with two coefficients (over 75 angles).  The benchmark's
-    searches build 2,380 (``max_q=15``, coefficients (1, -1)) and 1,620
-    (``max_q=8``, the default six).
-    """
-    halves = [(idx, asg, h % 1.0) for idx, asg, h in _half_sums(r, products, firsts)]
-    halves.sort(key=itemgetter(2))
-    return [half[2] for half in halves], halves
-
-
 def _screen(
     n: int, max_terms: int, scaled: list[float], cos_values: list[float], tol: float, firsts
 ):
@@ -568,8 +547,18 @@ def _screen(
     slack = 2.0**-40 * (1 + max_terms * max(map(abs, scaled)))
     width = tol + slack
     products = [[s * v for s in scaled] for v in cos_values]
+    # Right halves, sorted stably by fractional part, so ties keep enumeration
+    # order.  Plain lists are enough: under the search guards (max_q <= 30, at
+    # most 20,000,000 combinations) a table holds at most 25,350 halves (65
+    # coefficients over the 4 angles of max_q=5: C(4, 2) * 65**2), and 11,100
+    # with two coefficients (over 75 angles).  The benchmark's searches build
+    # 2,380 (max_q=15, coefficients (1, -1)) and 1,620 (max_q=8, the default six).
     every = list(range(len(scaled)))
-    index = {r: _half_index(r, products, every) for r in range(max_terms // 2 + 1)}
+    index = {}
+    for r in range(max_terms // 2 + 1):
+        halves = [(idx, asg, h % 1.0) for idx, asg, h in _half_sums(r, products, every)]
+        halves.sort(key=itemgetter(2))
+        index[r] = [half[2] for half in halves], halves
     passes = []
     for k in range(1, max_terms + 1):
         keys, halves = index[k // 2]
@@ -698,12 +687,13 @@ def bounded_search(
 
 
 def eqcos_residual(
-    B: BoundaryTraces,
+    B,
     thetas: tuple[AngleFraction, AngleFraction, AngleFraction, AngleFraction],
 ) -> Fraction | CycloElement:
     """Exact residual of the finite-orbit cosine equation.
 
-    For angle data (theta_x, theta_y, theta_z, theta_xy) the equation reads
+    ``B`` is an exact-mode `surface.BoundaryTraces`.  For angle data
+    (theta_x, theta_y, theta_z, theta_xy) the equation reads
 
         cos(theta_xy) + cos(theta_z + theta_y) + cos(theta_z - theta_y)
             + cos(theta_x)  =  sigma_x / 2,

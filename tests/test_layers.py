@@ -8,7 +8,7 @@ import pytest
 import tracetwist
 
 # Lowest layer first; a module may import only modules that come before it.
-LAYERS = ["scalars", "angles", "surface", "twists", "trigdioph", "rep", "orbits", "cli"]
+LAYERS = ["scalars", "angles", "trigdioph", "surface", "twists", "rep", "orbits", "cli"]
 PACKAGE = Path(tracetwist.__file__).parent
 
 

@@ -347,6 +347,13 @@ def _brute_force_search(max_q, max_terms, coeffs):
 
 _DEFAULT_COEFFS = (1, -1, Fraction(1, 2), Fraction(-1, 2), 2, -2)
 _WIDE_LATTICE = (1, -1, Fraction(1, 1000))  # tol 2e-6
+# lattices so wide that the screen's tolerance on the scaled sum (0.6, 1.4
+# and 2) lets its windows overlap, so each right half must be visited once
+_WIDER_THAN_ONE = [
+    (4, (1, -1, Fraction(1, 3 * 10**8))),
+    (6, (Fraction(1, 7 * 10**8), -1)),
+    (5, (1, Fraction(1, 10**9))),
+]
 
 
 # coefficient orders for the sign rule: three sets closed under negation, one
@@ -359,7 +366,8 @@ _SIGN_ORDERS = ((-1, 1), (-2, -1, 1, 2), (1, 1, -1), (1, 2, -1), (1, -1, -2))
     [(q, (1, -1)) for q in range(3, 16)]
     + [(q, _DEFAULT_COEFFS) for q in range(3, 10)]
     + [(q, _WIDE_LATTICE) for q in range(3, 8)]
-    + [(q, coeffs) for coeffs in _SIGN_ORDERS for q in (5, 8, 11)],
+    + [(q, coeffs) for coeffs in _SIGN_ORDERS for q in (5, 8, 11)]
+    + _WIDER_THAN_ONE,
 )
 def test_bounded_search_matches_brute_force(max_q, coeffs):
     # same results in the same order, so the same first-enumerated representatives
@@ -378,7 +386,9 @@ def _sign_rule_firsts(coeffs):
     "max_q, max_terms, coeffs",
     [(12, 4, (1, -1)), (8, 4, _DEFAULT_COEFFS), (7, 4, _WIDE_LATTICE), (9, 3, (1,)),
      (6, 2, (Fraction(1, 5001), -1)), (4, 4, tuple(range(-20, 0)) + tuple(range(1, 21))),
-     (9, 4, (1, 2, -1)), (9, 4, (1, -1, -2)), (9, 4, (-2, -1, 1, 2)), (9, 4, (1, 1, -1))],
+     (9, 4, (1, 2, -1)), (9, 4, (1, -1, -2)), (9, 4, (-2, -1, 1, 2)), (9, 4, (1, 1, -1)),
+     (4, 4, (1, -1, Fraction(1, 3 * 10**8))), (6, 3, (Fraction(1, 7 * 10**8), -1)),
+     (5, 4, (1, Fraction(1, 10**9)))],
 )
 def test_screen_passes_the_brute_force_set_in_its_order(max_q, max_terms, coeffs):
     coeffs, angles, cos_values, scaled, tol = _screen_inputs(max_q, coeffs)
@@ -473,7 +483,7 @@ def test_conway_jones_list_is_minimal(t):
 
 def test_package_import_leaves_mpmath_unloaded():
     src = str(Path(tracetwist.__file__).resolve().parents[1])
-    # nor the array extension, which only the relation search uses
+    # nor the array extension, which no module of the package imports
     code = "import sys, tracetwist, tracetwist.cli; print('mpmath' in sys.modules, 'array' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
