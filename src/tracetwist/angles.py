@@ -32,11 +32,20 @@ class AngleFraction:
     q: int
 
     def __init__(self, p: int, q: int = 1):
+        """Reduce p/q on the integers: one gcd, then p mod 2q.
+
+        ``p`` and ``q`` must be ints: a ``Fraction`` or ``float`` raises
+        TypeError (from ``math.gcd``).  Build an angle from a Fraction with
+        `from_fraction`.
+        """
         if q == 0:
             raise ZeroDivisionError("angle denominator must be nonzero")
-        frac = Fraction(p, q) % 2
-        object.__setattr__(self, "p", frac.numerator)
-        object.__setattr__(self, "q", frac.denominator)
+        if q < 0:
+            p, q = -p, -q
+        g = math.gcd(p, q)
+        q //= g
+        object.__setattr__(self, "p", p // g % (2 * q))
+        object.__setattr__(self, "q", q)
 
     @classmethod
     def from_fraction(cls, t: Fraction) -> "AngleFraction":

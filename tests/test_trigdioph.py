@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tracetwist
-from tracetwist.trigdioph import _has_rational_proper_subset, _screen, _search_angles
+from tracetwist.trigdioph import (
+    CONDUCTOR_LIMIT,
+    _cos_row,
+    _cosine_sum,
+    _has_rational_proper_subset,
+    _screen,
+    _search_angles,
+)
 from tracetwist import (
     AngleFraction,
     BoundaryTraces,
@@ -913,3 +920,76 @@ def test_match_family_scaled_t_instance():
     cls = match_family(rel)
     assert cls.kind == "family" and cls.family == 2
     assert cls.scale == Fraction(1, 2) and cls.t == Fraction(1, 12)
+
+
+# _cosine_sum adds cached rows of z^k + z^-k; the reference is the method it
+# replaced: write every term into a dense length-L vector, then fold and
+# divide by Phi_L once (_ref_reduce).
+
+
+def _ref_cosine_sum(L, pairs, rhs):
+    D = math.lcm(rhs.denominator, *(c.denominator for c, _ in pairs))
+    dense = [0] * L
+    dense[0] = -2 * rhs.numerator * (D // rhs.denominator)
+    for c, angle in pairs:
+        n = c.numerator * (D // c.denominator)
+        k = angle.p * (L // (2 * angle.q))
+        dense[k % L] += n
+        dense[-k % L] += n
+    return L, _ref_reduce(L, dense, 2 * D)
+
+
+# 210 = 2*3*5*7 and 2310 = 2*3*5*7*11 have many odd primes and dense rows;
+# CONDUCTOR_LIMIT = 10,000 is the largest conductor the guard admits
+_cosine_sum_halves = st.one_of(
+    st.integers(min_value=1, max_value=60),
+    st.sampled_from([105, 1155, CONDUCTOR_LIMIT // 2]),
+)
+
+
+@st.composite
+def _cosine_sums(draw):
+    half = draw(_cosine_sum_halves)
+    # p = 0 is k = 0 and p = half is k = L/2 (the angle pi)
+    p = st.one_of(st.sampled_from([0, half]), st.integers(min_value=0, max_value=2 * half - 1))
+    angle = p.map(lambda p: AngleFraction(p, half))
+    pairs = draw(st.lists(st.tuples(_small_fractions, angle), max_size=4))
+    rhs = draw(st.one_of(st.just(Fraction(0)), _small_fractions))
+    return 2 * half, pairs, rhs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cosine_sums())
+def test_cosine_sum_matches_dense_fold_and_divide(case):
+    L, pairs, rhs = case
+    _check_against_reference(_cosine_sum(L, pairs, rhs), _ref_cosine_sum(L, pairs, rhs))
+    for _, angle in pairs:
+        k = angle.p * (L // (2 * angle.q))
+        pair = CycloElement.root_power(L, k) + CycloElement.root_power(L, -k)
+        assert cos_pi(angle, L) == pair.scale(Fraction(1, 2))
+
+
+def test_cos_row_cache_is_bounded():
+    assert _cos_row.cache_info().maxsize is not None
+    # k and L - k share one row: cos(pi*p/q) = cos(pi*(2q - p)/q)
+    before = _cos_row.cache_info().misses
+    assert cos_pi(AngleFraction(3, 7), 42) == cos_pi(AngleFraction(11, 7), 42)
+    assert _cos_row.cache_info().misses - before <= 1
+
+
+def test_eqcos_residual_zero_still_multiplies_for_the_cross_check(monkeypatch, markov_B):
+    # the trace identity is re-checked with a product of two cosines, not
+    # with the cached rows that produced the residual
+    calls = []
+    mul = CycloElement.__mul__
+
+    def counting_mul(self, other):
+        calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloElement, "__mul__", counting_mul)
+    right = AngleFraction(1, 2)
+    assert eqcos_residual(markov_B, (right, right, right, right)) == 0
+    assert len(calls) == 1
+    assert eqcos_residual(markov_B, (AngleFraction(1, 3), right, right, right)) == Fraction(1, 2)
+    assert len(calls) == 1  # a nonzero residual needs no cross-check
