@@ -9,8 +9,8 @@ floating-point literals.
 Each option's flag, type and default is declared once, in `_build_parser`.
 A ``--config`` file's ``key=value`` lines (keys are flag names with
 underscores, switches take ``true`` or ``false``) become the defaults of
-the command that has the flag, so they go through the flag's own type;
-other keys are ignored and flags on the command line override the file.
+the command that has the flag, so they go through the flag's own type and
+choices; other keys are ignored and command-line flags override the file.
 """
 
 from __future__ import annotations
@@ -246,6 +246,8 @@ def _build_parser(argv) -> argparse.ArgumentParser:
             p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
         defaults = {flag: config[flag] for flag in flags if flag in config}
         for flag, value in defaults.items():
+            if "choices" in flags[flag] and value not in flags[flag]["choices"]:
+                p.error(f"argument --{flag.replace('_', '-')}: invalid choice: {value!r}")
             if flags[flag].get("action") == "store_true":
                 if value not in ("true", "false"):
                     p.error(f"config key {flag} takes true or false, not {value!r}")
@@ -331,11 +333,7 @@ def _int_digits_unlimited():
 def main(argv=None) -> int:
     try:
         args = _build_parser(argv).parse_args(argv)
-        # argparse checks neither choices nor required flags on values
-        # that come from the config file.
         mode = getattr(args, "mode", EXACT)
-        if mode not in (EXACT, FLOAT):
-            raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}")
         for name, kind in (("traces", BoundaryTraces), ("point", TracePoint)):
             if not hasattr(args, name):
                 continue

@@ -314,12 +314,12 @@ def epsilon_density_on_level(
 def N_of_epsilon(B: BoundaryTraces, eps: float) -> int:
     """Period threshold beyond which every periodic slice orbit is eps-dense.
 
-    This covers slices at levels inside the attainable range S of their
-    axis, on the component :func:`classify` reports; ellipse slices at
-    other levels lie on other components and may be far larger.
+    This covers slices at levels inside the range S of their axis on the
+    compact component :func:`classify` reports; ellipse slices at other
+    levels lie on other components and may be far larger.
 
     N = ceil(pi * max over axes of (|S_1| + |S_2|) / eps) + 1, where S_1 and
-    S_2 are the attainable ranges (:func:`level_range`) of the two
+    S_2 are the compact component's ranges (:func:`level_range`) of the two
     coordinates the axis twist moves.  Proof, for a slice orbit of period
     q > N on an ellipse with semi-axes A, D (:meth:`semi_axes`):
 

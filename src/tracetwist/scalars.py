@@ -98,46 +98,24 @@ def _sign(q: Fraction) -> int:
     return (q > 0) - (q < 0)
 
 
-def _sign_binomial(t: Fraction, u: Fraction, r: Fraction) -> int:
-    """Exact sign of t + u*sqrt(r) for rational t, u and r >= 0."""
-    if u == 0 or r == 0:
-        return _sign(t)
-    if t == 0:
-        return _sign(u)
-    st, su = _sign(t), _sign(u)
-    if st == su:
-        return st
-    # Opposite signs: the winner has the larger square.
-    d = _sign(t * t - u * u * r)
-    return d if st > 0 else -d
+def _sign_sum(t, u=0, r1=0, v=0, r2=0) -> int:
+    """Exact sign of ``t + u*sqrt(r1) + v*sqrt(r2)``, all rational, ``r1, r2 >= 0``.
 
-
-def _sign_two_radicals(
-    t: Fraction, u: Fraction, r1: Fraction, v: Fraction, r2: Fraction
-) -> int:
-    """Exact sign of t + u*sqrt(r1) + v*sqrt(r2), all arguments rational."""
-    if u == 0 or r1 == 0:
-        return _sign_binomial(t, v, r2)
-    if v == 0 or r2 == 0:
-        return _sign_binomial(t, u, r1)
-    u2r, v2r = u * u * r1, v * v * r2
-    if u > 0 and v > 0:
-        sw = 1
-    elif u < 0 and v < 0:
-        sw = -1
-    else:
-        sw = _sign(u2r - v2r) * (1 if u > 0 else -1)
-    if t == 0:
+    Write the sum as ``A + w``, ``w = v*sqrt(r2)``, a lone radical moved into
+    the ``w`` slot.  If ``A`` is 0 or has the sign of ``w``, so has the sum.
+    Otherwise the sum has ``sign(A)`` times the sign of ``|A| - |w|``, which
+    is that of ``A^2 - w^2 = (t^2 + u^2*r1 - v^2*r2) + 2tu*sqrt(r1)`` since
+    ``|A| + |w| > 0``.  ``A`` and ``A^2 - w^2`` each have one radical fewer
+    than the sum, so the recursion ends at ``sign(t)``.
+    """
+    if not (v and r2):
+        if not (u and r1):
+            return _sign(t)
+        u, r1, v, r2 = 0, 0, u, r1
+    sw, sa = _sign(v), _sign_sum(t, u, r1)
+    if sa == 0 or sa == sw:
         return sw
-    if sw == 0:
-        return _sign(t)
-    st = _sign(t)
-    if st == sw:
-        return st
-    # t and the radical part w disagree; compare t^2 with
-    # |w|^2 = u^2 r1 + v^2 r2 + 2uv*sqrt(r1 r2), a single-radical quantity.
-    d = _sign_binomial(t * t - u2r - v2r, -2 * u * v, r1 * r2)
-    return d if st > 0 else -d
+    return sa * _sign_sum(t * t + u * u * r1 - v * v * r2, 2 * t * u, r1)
 
 
 @total_ordering
@@ -191,9 +169,7 @@ class Surd:
             other = Surd(other)
         elif not isinstance(other, Surd):
             return NotImplemented
-        return _sign_two_radicals(
-            self.a - other.a, self.b, self.r, -other.b, other.r
-        )
+        return _sign_sum(self.a - other.a, self.b, self.r, -other.b, other.r)
 
     def __eq__(self, other):
         c = self._cmp(other)

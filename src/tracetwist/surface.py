@@ -22,7 +22,8 @@ permutations (a,d,b,c) and (a,c,d,b), the rows of ``_PAIRS``.
 The quadratic factors in rhs have roots I^-/I^+ computed from one pair of
 boundary traces each; whether the two root intervals overlap or leave a gap
 decides which compact component (unitary or real) the surface carries, and
-the overlap/gap is the open interval S of x-values actually attained.
+the overlap/gap is the open interval S of x-values on that component.  Real
+points of the surface at levels outside S lie on its other components.
 """
 
 from __future__ import annotations
@@ -312,12 +313,13 @@ def kappa(B: BoundaryTraces, p: TracePoint) -> Scalar:
 def classify(
     B: BoundaryTraces, axis: Axis = Axis.X
 ) -> tuple[ComponentClass, tuple[Scalar | Surd, Scalar | Surd] | None]:
-    """Component type and the open interval S of attainable axis values.
+    """Type of the compact component and S, the open interval of its axis values.
 
     Overlapping root intervals give the unitary component with S their
     overlap; disjoint intervals give the compact real component with S the
     gap.  Intervals touching in a single point are reported as degenerate
-    with no interval (decided exactly in exact mode).
+    with no interval (decided exactly in exact mode).  Real points at levels
+    outside S lie on other components.
     """
     (u1, v1), (u2, v2) = B.trace_pairs(axis)
     lo1, hi1 = _pair_roots(u1, v1)
@@ -378,7 +380,7 @@ def lift_to_surface(B: BoundaryTraces, x: Scalar, y: Scalar) -> list[TracePoint]
 
 
 def level_range(B: BoundaryTraces, axis: Axis) -> tuple[float, float]:
-    """Float endpoints of the open interval of attainable `axis` values."""
+    """Float endpoints of S, the `axis` values of the compact component (:func:`classify`)."""
     _, interval = classify(B, axis)
     if interval is None:
         raise ValueError("degenerate surface has an empty level range")

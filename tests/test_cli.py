@@ -256,13 +256,15 @@ def test_config_file_with_flag_override(capsys, tmp_path):
 
 
 def test_config_file_mode_must_be_a_choice(capsys, tmp_path):
-    # argparse checks no choices on config defaults; main does
+    # argparse checks no choices on config defaults; _build_parser does
     config = tmp_path / "run.cfg"
     config.write_text("mode=foo\ntraces=1,1,7/4,-7/4\n", encoding="utf-8")
-    code, out, err = run(capsys, "--config", str(config), "classify")
-    assert code == 2
-    assert out == ""
-    assert err == "error: mode must be 'exact' or 'float'\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(config), "classify"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --mode: invalid choice: 'foo'" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,15 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from tracetwist.scalars import (
     EXACT,
     FLOAT,
     MixedModeError,
     Surd,
+    _sign_sum,
     as_fraction,
     sqrt_exact,
     unify,
@@ -84,3 +86,70 @@ def test_surd_comparison_agrees_with_floats(a1, b1, r1, a2, b2, r2):
     if abs(f1 - f2) > 1e-9:
         assert (s1 < s2) == (f1 < f2)
         assert (s1 == s2) is False
+
+
+# The comparisons below tie exactly or lie closer than a double resolves, so
+# each one checks that Surd decides signs exactly rather than through float().
+
+
+def test_sqrt2_convergents_alternate_around_sqrt2():
+    root2 = Surd(0, 1, 2)
+    p, q = 1, 1
+    for n in range(42):
+        below = n % 2 == 0
+        assert (Fraction(p, q) < root2) is below
+        assert (root2 > Fraction(p, q)) is below
+        assert (root2 < Surd(Fraction(p, q))) is not below
+        assert root2 != Fraction(p, q)
+        p, q = p + 2 * q, p + q
+
+
+def test_surd_near_ties_beyond_double_precision():
+    assert Surd(0, 1, 10**30 + 1) > 10**15
+    assert Surd(1, 1, 10**30 + 1) > Surd(0, 1, (10**15 + 1) ** 2 - 1)
+    assert Surd(0, 1, (10**15 + 1) ** 2 - 1) < Surd(1, 1, 10**30 + 1)
+
+
+def test_surd_exact_tie_both_ways_round():
+    for s1, s2 in ((Surd(0, 1, 8), Surd(0, 2, 2)), (Surd(0, 2, 2), Surd(0, 1, 8))):
+        assert s1 == s2
+        assert not s1 < s2 and not s1 > s2
+        assert s1 <= s2 and s1 >= s2
+
+
+coefficients = st.fractions(
+    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
+)
+positives = st.fractions(
+    min_value=Fraction(1, 20), max_value=Fraction(200), max_denominator=20
+)
+
+
+def _mp_sum(t, u, r1, v, r2):
+    def mp(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    return mp(t) + mp(u) * mpmath.sqrt(mp(r1)) + mp(v) * mpmath.sqrt(mp(r2))
+
+
+@given(
+    coefficients, coefficients, radicands, coefficients, radicands,
+    st.one_of(st.none(), st.integers(min_value=1, max_value=10**15)),
+)
+def test_sign_sum_agrees_with_sixty_digits(t, u, r1, v, r2, near_tie_den):
+    with mpmath.workdps(60):
+        if near_tie_den is not None:
+            # t within about 1/den^2 of -(u*sqrt(r1) + v*sqrt(r2))
+            w = _mp_sum(Fraction(0), u, r1, v, r2)
+            t = -Fraction(mpmath.nstr(w, 55, min_fixed=-100, max_fixed=100))
+            t = t.limit_denominator(near_tie_den)
+        value = _mp_sum(t, u, r1, v, r2)
+        assume(abs(value) > mpmath.mpf(10) ** -40)
+        assert _sign_sum(t, u, r1, v, r2) == (1 if value > 0 else -1)
+
+
+@given(coefficients, positives, positives)
+def test_sign_sum_exact_zeros(u, r, k):
+    # u*sqrt(r) - (u/k)*sqrt(k^2*r) == 0 for every rational k > 0
+    assert _sign_sum(0, u, r, -u / k, k * k * r) == 0
+    assert _sign_sum(0, -u / k, k * k * r, u, r) == 0
