@@ -7,6 +7,8 @@ representations.  Exact rational arithmetic is used wherever the
 underlying statements are exact.
 """
 
+from types import ModuleType as _ModuleType
+
 from .angles import AngleFraction
 from .orbits import (
     DensityReport,
@@ -83,4 +85,4 @@ from .twists import (
     vieta_involution,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType))

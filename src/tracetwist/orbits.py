@@ -42,15 +42,12 @@ from .surface import (
     TracePoint,
     _check_open_range,
     _from_integers,
-    _require_same_mode,
-    _to_integers,
     level_range,
     level_set,
     surface_sample,
 )
 from .twists import (
-    GENERATORS, _STEPS, TwistGenerator, TwistWord, _sigmas, _twist, _twist_exact,
-    apply_generator, apply_word,
+    GENERATORS, _STEPS, TwistGenerator, TwistWord, _carrier, apply_generator, apply_word,
 )
 
 
@@ -145,11 +142,7 @@ def enumerate_orbit(
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    exact = _require_same_mode(B, p0) == EXACT
-    if exact:
-        kernel, sigma, start = _twist_exact, B._integer_form, _to_integers(p0)
-    else:
-        kernel, sigma, start = _twist, _sigmas(B), p0.as_tuple()
+    exact, kernel, sigma, start = _carrier(B, p0)
     moves = [(g.letter, _STEPS[g]) for g in GENERATORS]
 
     # Dedup key -> kept coordinates; exact keys are the canonical integer forms.
@@ -411,8 +404,7 @@ def density_scan(
     grid_points = surface_sample(Bf, *grid)
     if not grid_points:
         raise ValueError(f"sample grid {grid[0]},{grid[1]} has no points")
-    sigma = _sigmas(Bf)
-    current = p0.to_float().as_tuple()
+    _, kernel, sigma, current = _carrier(Bf, p0.to_float())
     rng = random.Random(seed)
     snap = eps / 10.0
     # Dedup key -> first point seen there, as in enumerate_orbit.
@@ -425,7 +417,7 @@ def density_scan(
             steps = alternation[step % 2]
         else:
             steps = moves[rng.randrange(len(moves))]
-        current = _twist(sigma, current, steps)
+        current = kernel(sigma, current, steps)
         k = _snap_key(current, snap)
         if k not in seen:
             seen[k] = current

@@ -69,7 +69,10 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 def _phi(n: int) -> int:
-    _guard_conductor(n)
+    if n < 1:
+        raise ValueError(f"conductor must be positive, got {n}")
+    if n > CONDUCTOR_LIMIT:
+        raise ConductorLimitError(f"conductor {n} exceeds guard {CONDUCTOR_LIMIT}")
     return len(cyclotomic_poly(n)) - 1
 
 
@@ -159,7 +162,7 @@ class CycloElement:
     @classmethod
     def root_power(cls, conductor: int, k: int) -> "CycloElement":
         """The root of unity z^k."""
-        _guard_conductor(conductor)
+        _phi(conductor)  # guards the conductor
         return _element(conductor, _reduce(conductor, [0] * (k % conductor) + [1]), 1)
 
     def is_zero(self) -> bool:
@@ -199,9 +202,9 @@ class CycloElement:
         """Embed into the field of a larger conductor (a multiple of ours)."""
         if conductor == self.conductor:
             return self
-        _guard_conductor(conductor)
         if conductor % self.conductor:
             raise ValueError("can only promote to a multiple of the conductor")
+        _phi(conductor)  # guards the conductor
         dense = [0] * conductor
         dense[:: conductor // self.conductor] = self.nums + (0,) * (self.conductor - len(self.nums))
         return _element(conductor, _reduce(conductor, dense), self.den)
@@ -235,13 +238,6 @@ def _linear(a: CycloElement, b: CycloElement, sign: int) -> CycloElement:
 def _common(a: CycloElement, b: CycloElement) -> tuple[CycloElement, CycloElement]:
     L = math.lcm(a.conductor, b.conductor)
     return a.promote(L), b.promote(L)
-
-
-def _guard_conductor(L: int) -> None:
-    if L < 1:
-        raise ValueError(f"conductor must be positive, got {L}")
-    if L > CONDUCTOR_LIMIT:
-        raise ConductorLimitError(f"conductor {L} exceeds guard {CONDUCTOR_LIMIT}")
 
 
 def cos_pi(angle: AngleFraction, conductor: int | None = None) -> CycloElement:

@@ -21,9 +21,9 @@ private kernel runs them on one of two carriers:
   one reduction, so the form stays canonical and serves as a dedup key;
 * float mode: raw ``(x, y, z)`` tuples of doubles.
 
-The orbit loops call the kernels directly.  :func:`apply_generator`,
-:func:`vieta_involution` and :func:`apply_word` check the numeric mode once,
-convert the point to its carrier and back, and return a
+One private dispatch, ``_carrier``, picks the kernel, its invariants and the
+carrier for the orbit loops and for :func:`apply_generator`,
+:func:`vieta_involution` and :func:`apply_word`, which return a
 :class:`TracePoint`; :func:`rotation_angle` checks its level lies in (-2, 2).
 
 On a slice of its own axis a twist is conjugate to a rotation by
@@ -126,10 +126,6 @@ _STEPS = {
 }
 
 
-def _sigmas(B: BoundaryTraces) -> tuple[Scalar, Scalar, Scalar]:
-    return (B.sigma_x, B.sigma_y, B.sigma_z)
-
-
 def _twist(sigma, c, steps):
     """Run Vieta steps (i, j, k) on the float coordinate tuple c, unchecked.
 
@@ -163,10 +159,17 @@ def _twist_exact(b, c, steps):
     return (v[0], v[1], v[2], D)
 
 
-def _act(B: BoundaryTraces, p: TracePoint, steps) -> TracePoint:
+def _carrier(B: BoundaryTraces, p: TracePoint):
+    """``(exact, kernel, sigma, c)``: the mode's twist kernel, its invariants and p's carrier."""
     if _require_same_mode(B, p) == EXACT:
-        return _from_integers(_twist_exact(B._integer_form, _to_integers(p), steps))
-    return TracePoint(*_twist(_sigmas(B), p.as_tuple(), steps))
+        return True, _twist_exact, B._integer_form, _to_integers(p)
+    return False, _twist, (B.sigma_x, B.sigma_y, B.sigma_z), p.as_tuple()
+
+
+def _act(B: BoundaryTraces, p: TracePoint, steps) -> TracePoint:
+    exact, kernel, sigma, c = _carrier(B, p)
+    c = kernel(sigma, c, steps)
+    return _from_integers(c) if exact else TracePoint(*c)
 
 
 def vieta_involution(B: BoundaryTraces, p: TracePoint, variable: Axis) -> TracePoint:

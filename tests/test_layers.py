@@ -1,7 +1,11 @@
-"""Each module imports only the modules below it in one fixed order."""
+"""Each module imports only the modules below it in one fixed order.
+
+The package namespace is checked here too: a star import binds no submodule.
+"""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -12,10 +16,13 @@ LAYERS = ["scalars", "angles", "trigdioph", "surface", "twists", "rep", "orbits"
 PACKAGE = Path(tracetwist.__file__).parent
 
 
+def _tree(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
 def _package_imports(name: str) -> set[str]:
-    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(name)):
         if isinstance(node, ast.ImportFrom):
             if node.level == 0:
                 parts = (node.module or "").split(".")
@@ -42,3 +49,30 @@ def test_every_module_has_a_layer():
 def test_module_imports_only_lower_layers(name):
     lower = set(LAYERS[: LAYERS.index(name)])
     assert _package_imports(name) <= lower
+
+
+def _imported_names(name: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(_tree(name))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def test_orbits_takes_its_twist_kernel_from_one_dispatch():
+    # twists._carrier alone maps a numeric mode to a kernel, its invariants
+    # and a carrier; the orbit loops must not rebuild that choice.
+    private = {"_twist", "_twist_exact", "_to_integers", "_require_same_mode", "_sigmas"}
+    imported = _imported_names("orbits")
+    assert "_carrier" in imported
+    assert not imported & private
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from tracetwist import *", namespace)
+    del namespace["__builtins__"]
+    assert not [name for name, value in namespace.items() if isinstance(value, ModuleType)]
+    assert set(namespace) == set(tracetwist.__all__)
+    assert all(hasattr(tracetwist, name) for name in tracetwist.__all__)
