@@ -44,7 +44,7 @@ def _csv_flag(parse, expect: int | None, what: str):
     """An argparse ``type`` for comma-separated values; errors follow the flag name."""
 
     def convert(text: str) -> tuple:
-        parts = [p for p in text.split(",") if p.strip()]
+        parts = text.split(",")
         if expect is not None and len(parts) != expect:
             raise argparse.ArgumentTypeError(
                 f"{what} needs {expect} comma-separated values, got {len(parts)}"

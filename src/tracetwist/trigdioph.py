@@ -35,24 +35,12 @@ class ConductorLimitError(ValueError):
     """The least common conductor exceeds the desk-scale guard."""
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Synthetic division by a monic integer polynomial; remainder must vanish.
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            out[i - dn] = c
-            for j in range(dn + 1):
-                num[i - dn + j] -= c * den[j]
-    assert not any(num), "division left a remainder"
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, constant first.
+
+    Phi_n(z) = prod (z^(n/d) - 1)^mu(d) over squarefree d | n: the mu = +1
+    factors are multiplied in, then the mu = -1 factors divided out exactly.
 
     >>> cyclotomic_poly(1)
     (-1, 1)
@@ -61,10 +49,20 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, cyclotomic_poly(d))
+    mu, m = {1: 1}, n  # squarefree divisor d of n -> Moebius mu(d)
+    for p in range(2, n + 1):
+        if m % p == 0:
+            mu.update({d * p: -s for d, s in mu.items()})
+            while m % p == 0:
+                m //= p
+    poly = [1]
+    for e in (n // d for d, s in mu.items() if s > 0):
+        poly = [a - b for a, b in zip([0] * e + poly, poly + [0] * e)]
+    for e in (n // d for d, s in mu.items() if s < 0):
+        for i in range(len(poly) - 1, e - 1, -1):
+            poly[i - e] += poly[i]
+        assert not any(poly[:e]), "division left a remainder"
+        poly = poly[e:]
     return tuple(poly)
 
 
@@ -381,8 +379,8 @@ def is_rational_relation(rel: CJRelation) -> Fraction | None:
 
 # The minimal rational relations with at most four distinct angles strictly
 # between 0 and pi/2.  Family 2 is the one-parameter family
-# cos(t + pi/3) + cos(pi/3 - t) - cos(t) = 0 for 0 < t < pi/6, detected
-# structurally; the rest are fixed, stored with angles ascending.
+# cos(t + pi/3) + cos(pi/3 - t) - cos(t) = 0 for 0 < t < pi/6, matched at
+# t = the first angle; the rest are fixed, stored with angles ascending.
 _FIXED_FAMILIES: dict[int, CJRelation] = {
     1: CJRelation.make([(1, 1, 3)], Fraction(1, 2)),
     3: CJRelation.make([(1, 1, 5), (-1, 2, 5)], Fraction(1, 2)),
@@ -483,23 +481,17 @@ def _decide(terms: tuple[CJTerm, ...]) -> tuple[Fraction, Classification] | None
     if len(terms) > 1 and _has_rational_proper_subset(terms):
         return value, Classification("reducible")
     angles = tuple(t.angle for t in terms)
-    for index, fam in _FIXED_FAMILIES.items():
-        if angles != tuple(t.angle for t in fam.terms):
+    candidates = [(index, fam, None) for index, fam in _FIXED_FAMILIES.items()]
+    t1 = terms[0].angle.fraction
+    if len(terms) == 3 and t1 < Fraction(1, 6):
+        candidates.append((2, t_family_instance(t1), t1))
+    for index, fam, t in candidates:
+        if angles != tuple(f.angle for f in fam.terms):
             continue
         scale = terms[0].coeff / fam.terms[0].coeff
-        if all(t.coeff == scale * f.coeff for t, f in zip(terms, fam.terms)):
+        if all(c.coeff == scale * f.coeff for c, f in zip(terms, fam.terms)):
             if value == scale * fam.rhs:
-                return value, Classification("family", family=index, scale=scale)
-    if len(terms) == 3 and value == 0:
-        t1, t2, t3 = (t.angle.fraction for t in terms)
-        c1, c2, c3 = (t.coeff for t in terms)
-        if (
-            t2 + t3 == Fraction(2, 3)
-            and t3 - t2 == 2 * t1
-            and 0 < t1 < Fraction(1, 6)
-            and c2 == c3 == -c1
-        ):
-            return value, Classification("family", family=2, scale=c2, t=t1)
+                return value, Classification("family", family=index, scale=scale, t=t)
     return value, Classification("unclassified")
 
 

@@ -146,6 +146,17 @@ def test_cj_search_refuses_coefficients_beyond_the_bound(capsys, coeffs):
     assert err == "error: coefficients must be at most 10**5 in absolute value\n"
 
 
+@pytest.mark.parametrize("coeffs", ["1,,-1", ",1,-1", "1,-1,"])
+def test_cj_empty_coefficient_is_a_usage_error(capsys, coeffs):
+    # empty fields were dropped, so "1,,-1" searched the coefficients (1, -1)
+    with pytest.raises(SystemExit) as exc:
+        main(["cj", "--search", "--max-q", "5", f"--coeffs={coeffs}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --coeffs: " in captured.err
+
+
 @pytest.mark.parametrize("n", ["1001", "1" + "0" * 53])
 def test_filtration_refuses_beyond_desk_scale(capsys, n):
     # a 54-digit n ran until killed; the refusal comes before any work
@@ -353,6 +364,12 @@ _MALFORMED = [
     ("traces", "1/2,1/2,x,1/3"),
     ("point", "0,1/2"),
     ("point", "0,1/0,-1.55"),
+    # empty fields were dropped, so "24,,24" read as (24, 24) and a trailing
+    # comma passed
+    ("traces", "1/2,,1/2,1/3"),
+    ("traces", "1/2,1/2,1/2,1/3,"),
+    ("point", "0,,-1.55"),
+    ("grid", "24,,24"),
 ]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import re
@@ -54,6 +55,43 @@ def test_cyclotomic_poly_known():
     # degrees are Euler phi
     assert len(cyclotomic_poly(30)) - 1 == 8
     assert len(cyclotomic_poly(105)) - 1 == 48
+    for n in range(1, 601):
+        assert cyclotomic_poly(n) == _ref_cyclotomic(n), n
+    # highly composite conductors inside the guard, and the guard itself
+    for n in (5040, 7560, 9240, 9999, CONDUCTOR_LIMIT):
+        totient = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+        assert len(cyclotomic_poly(n)) - 1 == totient, n
+
+
+# Reference: the former construction, z^n - 1 divided exactly by Phi_d for
+# every proper divisor d of n, each Phi_d built the same way.
+@functools.lru_cache(maxsize=None)
+def _ref_cyclotomic(n):
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d:
+            continue
+        den = _ref_cyclotomic(d)
+        dn = len(den) - 1
+        out = [0] * (len(num) - dn)
+        for i in range(len(num) - 1, dn - 1, -1):
+            c = num[i]
+            if c:
+                out[i - dn] = c
+                for j in range(dn + 1):
+                    num[i - dn + j] -= c * den[j]
+        assert not any(num)
+        num = out
+    return tuple(num)
+
+
+def test_cold_cyclotomic_poly_builds_one_polynomial():
+    # the divisor recursion cached Phi_d for all 64 divisors d of 9240 and
+    # took seconds; the Moebius product builds Phi_9240 alone
+    cyclotomic_poly.cache_clear()
+    phi = cyclotomic_poly(9240)
+    assert cyclotomic_poly.cache_info().currsize == 1
+    assert len(phi) - 1 == 1920
 
 
 def test_root_power_and_numeric():
