@@ -9,8 +9,9 @@ floating-point literals.
 Each option's flag, type and default is declared once, in `_build_parser`.
 A ``--config`` file's ``key=value`` lines (keys are flag names with
 underscores, switches take ``true`` or ``false``) become the defaults of
-the command that has the flag, so they go through the flag's own type and
-choices; other keys are ignored and command-line flags override the file.
+the chosen command when it has the flag, so they go through the flag's own
+type and choices; other keys, other commands' keys among them, are ignored
+and command-line flags override the file.
 """
 
 from __future__ import annotations
@@ -229,8 +230,9 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     # No abbreviations at the top level: an abbreviated --config would skip the pre-parse.
     config_option = argparse.ArgumentParser(prog="tracetwist", add_help=False, allow_abbrev=False)
     config_option.add_argument("--config", help="flat key=value config file; flags override")
-    path = config_option.parse_known_args(argv)[0].config
-    config = _load_config_file(path) if path else {}
+    known, rest = config_option.parse_known_args(argv)
+    config = _load_config_file(known.config) if known.config else {}
+    chosen = rest[0] if rest else None  # the subcommand name, which follows --config
     parser = argparse.ArgumentParser(
         prog="tracetwist",
         description="Twist dynamics on the four-holed-sphere character variety",
@@ -241,10 +243,11 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 
     def add(func, help_text, **flags):
         """Register ``func``, named ``cmd_<command>``, as the subcommand ``<command>``."""
-        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help_text)
+        name = func.__name__.removeprefix("cmd_")
+        p = sub.add_parser(name, help=help_text)
         for flag, kwargs in flags.items():
             p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
-        defaults = {flag: config[flag] for flag in flags if flag in config}
+        defaults = {flag: config[flag] for flag in flags if flag in config and name == chosen}
         for flag, value in defaults.items():
             if "choices" in flags[flag] and value not in flags[flag]["choices"]:
                 p.error(f"argument --{flag.replace('_', '-')}: invalid choice: {value!r}")

@@ -149,13 +149,11 @@ class CycloElement:
 
     @classmethod
     def zero(cls, conductor: int) -> "CycloElement":
-        return _element(conductor, [0] * _phi(conductor), 1)
+        return cls.from_rational(conductor, 0)
 
     @classmethod
     def from_rational(cls, conductor: int, value) -> "CycloElement":
-        value = as_fraction(value)
-        nums = [value.numerator] + [0] * (_phi(conductor) - 1)
-        return _element(conductor, nums, value.denominator)
+        return cls(conductor, [value] + [0] * (_phi(conductor) - 1))
 
     @classmethod
     def root_power(cls, conductor: int, k: int) -> "CycloElement":
@@ -208,16 +206,13 @@ class CycloElement:
         return _element(conductor, _reduce(conductor, dense), self.den)
 
     def numeric(self, dps: int = 50):
-        """High-precision numeric value (mpmath real part)."""
+        """High-precision value sum_j nums[j] * cos(2*pi*j/conductor) / den (an mpf)."""
         import mpmath
 
         with mpmath.workdps(dps):
-            z = mpmath.e ** (2j * mpmath.pi / self.conductor)
-            total = mpmath.mpc(0)
-            for j, x in enumerate(self.nums):
-                if x:
-                    total += mpmath.mpf(x) * z**j
-            return total.real / self.den
+            w = 2 * mpmath.pi / self.conductor
+            terms = (x * mpmath.cos(j * w) for j, x in enumerate(self.nums) if x)
+            return mpmath.fsum(terms) / self.den
 
 
 def _element(conductor: int, nums: list[int], den: int) -> CycloElement:
@@ -318,10 +313,7 @@ class CJRelation:
         return cls(tuple(CJTerm(c, AngleFraction(p, q)) for c, p, q in triples), rhs)
 
     def conductor(self) -> int:
-        L = 1
-        for t in self.terms:
-            L = math.lcm(L, 2 * t.angle.q)
-        return L
+        return math.lcm(*(2 * t.angle.q for t in self.terms))
 
     def describe(self) -> str:
         if not self.terms:
@@ -373,8 +365,7 @@ def eval_exact(rel: CJRelation) -> CycloElement:
 
 def is_rational_relation(rel: CJRelation) -> Fraction | None:
     """The exact rational value of the term sum, or None if irrational."""
-    pairs = [(t.coeff, t.angle) for t in rel.terms]
-    return _cosine_sum(rel.conductor(), pairs, Fraction(0)).rational_value()
+    return eval_exact(CJRelation(rel.terms)).rational_value()
 
 
 # The minimal rational relations with at most four distinct angles strictly
@@ -435,8 +426,6 @@ def _rank(rows: list[list[int]]) -> int:
             if c:
                 rows[i] = [p[col] * x - c * y for x, y in zip(rows[i], p)]
         rank += 1
-        if rank == len(rows):
-            break
     return rank
 
 

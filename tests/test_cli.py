@@ -279,6 +279,52 @@ def test_config_file_mode_must_be_a_choice(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("mode=foo\n", ["cj", "--verify-list"]),
+        ("verify_list=yes\n", ["filtration", "--n", "3"]),
+        ("search=maybe\n", ["classify", "--traces", "1,1,7/4,-7/4"]),
+    ],
+    ids=["mode-cj", "verify_list-filtration", "search-classify"],
+)
+def test_config_file_keys_of_other_commands_are_ignored(capsys, tmp_path, text, argv):
+    # the keys used to be checked for every command when the parser was built
+    config = tmp_path / "run.cfg"
+    config.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "--config", str(config), *argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *argv)
+
+
+def test_config_file_bad_key_names_the_chosen_command(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("mode=foo\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(config), "orbit", "--traces", "1,1,7/4,-7/4", "--point=-1,0,0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "tracetwist orbit: error: argument --mode: invalid choice: 'foo'" in err
+    assert "classify" not in err
+
+
+def test_config_file_help_ignores_command_keys(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("verify_list=yes\nmode=foo\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(config), "-h"])
+    assert exc.value.code == 0
+    assert "usage: tracetwist" in capsys.readouterr().out
+
+
+def test_config_file_skips_comments_and_blank_lines(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("# boundary of the finite orbit\n\ntraces=1,1,7/4,-7/4\n", encoding="utf-8")
+    code, out, _ = run(capsys, "--config", str(config), "classify")
+    assert code == 0
+    assert json.loads(out)["component"] == "sl2r_compact"
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [(["classify"], "traces"), (["orbit", "--traces", "1,1,7/4,-7/4"], "point")],
     ids=["classify", "orbit"],

@@ -296,6 +296,17 @@ def test_surface_sample(exceptional_B, markov_B):
     # single slice of the all-zero surface: points on y^2 + z^2 = 4
     (p,) = surface_sample(markov_B, 1, 1)
     assert p.y**2 + p.z**2 + p.x * p.y * p.z == pytest.approx(4 - p.x**2)
+    with pytest.raises(ValueError, match="sample counts must be nonnegative"):
+        surface_sample(markov_B, -1, 3)
+
+
+def test_empty_slice_has_no_semi_axes():
+    # x = -9/5 lies outside the attainable interval of this su2 surface
+    B = BoundaryTraces(Fraction(-7, 20), Fraction(7, 4), Fraction(-30, 17), Fraction(4, 3))
+    geom = level_set(B, Axis.X, Fraction(-9, 5))
+    assert geom.rhs < 0
+    with pytest.raises(ValueError, match="empty level set has no axes"):
+        geom.semi_axes()
 
 
 def test_surface_sample_degenerate_errors():

@@ -26,6 +26,7 @@ from tracetwist import (
     BoundaryTraces,
     CJRelation,
     CJTerm,
+    Classification,
     ConductorLimitError,
     CycloElement,
     MixedModeError,
@@ -98,6 +99,8 @@ def test_root_power_and_numeric():
     z = CycloElement.root_power(12, 1)
     value = complex(math.cos(math.pi / 6), math.sin(math.pi / 6))
     assert float(z.numeric()) == pytest.approx(value.real)
+    # the real cosine sum, not the real part of a complex one
+    assert isinstance(z.numeric(), mpmath.mpf)
     # z^12 = 1 exactly after reduction
     total = CycloElement.from_rational(12, 1)
     for _ in range(12):
@@ -561,13 +564,43 @@ def test_search_angles_are_the_reduced_angles_below_half(max_q):
         lambda: cos_pi(AngleFraction(1, 3), -6),
         lambda: CycloElement(0, ()),
         lambda: CycloElement.zero(-3),
+        lambda: CycloElement.from_rational(0, 1),
     ],
-    ids=["cos_pi-0", "root_power-0", "cos_pi-negative", "constructor-0", "zero-negative"],
+    ids=[
+        "cos_pi-0", "root_power-0", "cos_pi-negative", "constructor-0", "zero-negative",
+        "from_rational-0",
+    ],
 )
 def test_conductor_must_be_positive(build):
     # the first three raised ZeroDivisionError, ZeroDivisionError and IndexError
     with pytest.raises(ValueError, match="conductor must be positive"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: cyclotomic_poly(0), "n must be positive"),
+        (
+            lambda: cos_pi(AngleFraction(1, 3), 9),
+            "conductor must be a multiple of twice the denominator",
+        ),
+        (lambda: CJTerm(0, AngleFraction(1, 3)), "zero coefficients are not terms"),
+        (lambda: bounded_search(5, 0), "max_terms must be between 1 and 4"),
+        (lambda: bounded_search(5, 5), "max_terms must be between 1 and 4"),
+    ],
+    ids=["cyclotomic_poly-0", "cos_pi-9", "term-zero", "search-0-terms", "search-5-terms"],
+)
+def test_guards_raise_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_five_term_relation_is_unclassified():
+    # cos(pi/11) - cos(2pi/11) + cos(3pi/11) - cos(4pi/11) + cos(5pi/11) = 1/2
+    # is minimal but has five angles, beyond the list of at most four
+    rel = CJRelation.make([((-1) ** k, k + 1, 11) for k in range(5)], Fraction(1, 2))
+    assert match_family(rel) == Classification("unclassified")
 
 
 @pytest.mark.parametrize(
