@@ -291,7 +291,7 @@ def _build_parser(argv) -> argparse.ArgumentParser:
             "default": (24, 24),
             "help": "m,k surface sample grid",
         },
-    ).set_defaults(mode=FLOAT)
+    )
     add(
         cmd_cj,
         "cosine-relation toolkit: verify the built-in list or search",

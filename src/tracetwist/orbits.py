@@ -258,22 +258,23 @@ def twist_period(
 ) -> int | None:
     """Period of the axis twist on a non-fixed point, or None.
 
-    A level 2cos(pi p/q) rotates its slice by 2*pi*p/q, so the order is q;
-    the returned period is re-verified by iterating the twist (exactly in
-    exact mode, within 1e-8 box drift in float mode).  In exact mode None
-    means the period is infinite (Niven's theorem).  In float mode it means
-    only that no q <= max_q matched the level within `TOL_SURFACE`; a
-    larger max_q may still find a period.
+    A level 2cos(pi p/q) rotates its slice by 2*pi*p/q, so the order is q.
+    One box tolerance, 0 exact or `TOL_GEOM` float, decides both "does the
+    twist move p?" (else ValueError) and "does g^q bring p back?" (else
+    RuntimeError).  In exact mode None means the period is infinite
+    (Niven's theorem); in float mode only that no q <= max_q matched the
+    level within `TOL_SURFACE`, so a larger max_q may still find a period.
     """
     g = TwistGenerator(axis, 1)
-    if box_distance(apply_generator(B, p, g), p) <= (0 if p.mode == EXACT else 1e-12):
+    tol = 0 if p.mode == EXACT else TOL_GEOM
+    if box_distance(apply_generator(B, p, g), p) <= tol:
         raise ValueError("point is fixed by the axis twist; period is undefined")
     angle = rational_angle_of(p.coord(axis), max_q)
     if angle is None:
         return None
     period = angle.q
     drift = box_distance(apply_word(B, p, TwistWord((g,) * period)), p)
-    if drift > (0 if p.mode == EXACT else TOL_GEOM):
+    if drift > tol:
         raise RuntimeError(f"period {period} failed to verify: box drift {drift}")
     return period
 
@@ -388,7 +389,7 @@ def density_scan(
     grid: tuple[int, int] = (24, 24),
     seed: int = 0,
 ) -> DensityReport:
-    """Fraction of a surface sample grid within eps of an explored orbit.
+    """Fraction of a surface sample grid strictly within eps of an explored orbit.
 
     Exploration is float-mode: a deterministic walk alternating blocks of
     the systematic two-twist pattern with seeded pseudo-random generator
@@ -423,7 +424,7 @@ def density_scan(
             seen[k] = current
             last_new = step
 
-    near = _box_neighbours(seen.values(), eps * (1 + 1e-12))
+    near = _box_neighbours(seen.values(), eps)
     covered = sum(1 for gp in grid_points if near(gp.as_tuple()))
     return DensityReport(
         covered_fraction=covered / len(grid_points),

@@ -37,9 +37,9 @@ Scalar = Union[Fraction, float]
 EXACT = "exact"
 FLOAT = "float"
 
-# Float-mode tolerances.  TOL_SURFACE matches a float level to a rational
-# angle (orbits.rational_angle_of); TOL_GEOM bounds the box drift with which
-# orbits.twist_period re-verifies a float period.
+# The two float-mode tolerances.  TOL_SURFACE matches a float level to a
+# rational angle (orbits.rational_angle_of); TOL_GEOM is the box distance that
+# orbits.twist_period counts as "not moved", for a fixed point and a period.
 TOL_SURFACE = 1e-9
 TOL_GEOM = 1e-8
 

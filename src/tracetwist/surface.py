@@ -66,6 +66,10 @@ class ComponentClass(Enum):
 
 def _check_open_range(name: str, value: Scalar) -> None:
     if not (-2 < value < 2):
+        # A rational too long to print (str() can raise) is named by its side.
+        if isinstance(value, Fraction) and (value.numerator * value.denominator).bit_length() > 256:
+            side = "above 2" if value > 0 else "below -2"
+            raise ValueError(f"{name} is {side} and must lie strictly in (-2, 2)")
         raise ValueError(f"{name} = {value} must lie strictly in (-2, 2)")
 
 

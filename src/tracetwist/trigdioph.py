@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -630,6 +631,9 @@ def bounded_search(
     with coefficients (1, -1) from ``max_q=25`` (cos(2pi/17) + cos(4pi/23)
     + cos(5pi/19) + cos(8pi/25) is 1.1e-9 from Z/2, at conductor 371,450),
     and with the default set from ``max_q=19``.
+    A third guard, checked exactly before any float is formed, refuses
+    ``lattice * max(1, min(max_terms, n) * max|c|) > sys.float_info.max``,
+    where the lattice or the screen sums would leave the double range.
 
     Coefficients are bounded, ``max|c| <= 10**5``, so that rounding cannot
     push a true relation out of the screen.  With u = 2**-53, each of the k
@@ -658,8 +662,10 @@ def bounded_search(
     )
     if total > 20_000_000:
         raise ValueError(f"search space of {total} combinations exceeds desk scale")
-    cos_values = [a.cos() for a in angles]
     lattice = 2 * math.lcm(*(c.denominator for c in coeffs))
+    if lattice * max(1, min(max_terms, n) * max(map(abs, coeffs))) > sys.float_info.max:
+        raise ValueError("coefficients too wide for the screen: its sums leave the double range")
+    cos_values = [a.cos() for a in angles]
     scaled = [lattice * float(c) for c in coeffs]
     tol = lattice * 1e-9
 

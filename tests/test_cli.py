@@ -39,6 +39,29 @@ def test_classify_invalid_traces(capsys):
     assert "error" in err
 
 
+_RANGE_COMMANDS = {"classify": [], "scan": ["--point", "0,0,0"]}
+
+
+@pytest.mark.parametrize("command", list(_RANGE_COMMANDS))
+def test_out_of_range_trace_message(capsys, command):
+    # scan parsed its traces as floats and printed "a = 2.0"
+    code, out, err = run(capsys, command, "--traces", "2,0,0,0", *_RANGE_COMMANDS[command])
+    assert (code, out) == (2, "")
+    assert err == "error: a = 2 must lie strictly in (-2, 2)\n"
+
+
+@pytest.mark.parametrize("command", list(_RANGE_COMMANDS))
+@pytest.mark.parametrize("traces", ["1e5000,0,0,0", "1e400,0,0,0", "-1e400,0,0,0"])
+def test_huge_out_of_range_trace_names_the_range(capsys, command, traces):
+    # 1e5000 raised Python's int-to-str digit limit, naming neither the
+    # trace nor the range; 1e400 printed all 401 digits
+    code, out, err = run(capsys, command, f"--traces={traces}", *_RANGE_COMMANDS[command])
+    assert (code, out) == (2, "")
+    side = "below -2" if traces.startswith("-") else "above 2"
+    assert err == f"error: a is {side} and must lie strictly in (-2, 2)\n"
+    assert len(err) < 200
+
+
 def test_exact_output_has_no_float_literals(capsys):
     _, out, _ = run(capsys, "classify", "--traces", "1/2,1/2,1/2,1/3")
     for token in re.findall(r"-?\d+\.\d+", out):
@@ -144,6 +167,16 @@ def test_cj_search_refuses_coefficients_beyond_the_bound(capsys, coeffs):
     assert code == 2
     assert out == ""
     assert err == "error: coefficients must be at most 10**5 in absolute value\n"
+
+
+@pytest.mark.parametrize("coeffs", ["1,1e-400", "100000,1e-303"])
+def test_cj_search_refuses_a_screen_beyond_the_double_range(capsys, coeffs):
+    # cj has no float mode, yet this reported "a float-mode value left the
+    # double range"
+    code, out, err = run(capsys, "cj", "--search", "--max-q", "5", f"--coeffs={coeffs}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "double range" in err
+    assert "float-mode" not in err
 
 
 @pytest.mark.parametrize("coeffs", ["1,,-1", ",1,-1", "1,-1,"])

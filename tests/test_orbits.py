@@ -195,6 +195,8 @@ def test_twist_period_float_none_is_only_no_match_up_to_max_q():
 def test_twist_period_fixed_point_rejected(exceptional_B):
     with pytest.raises(ValueError):
         twist_period(exceptional_B, TracePoint(-1, 0, 0), Axis.X)
+    with pytest.raises(ValueError):
+        twist_period(exceptional_B.to_float(), TracePoint(-1.0, 0.0, 0.0), Axis.X)
 
 
 def test_twist_period_mixed_modes_rejected(markov_B):
@@ -514,7 +516,8 @@ def test_density_scan_eps_beyond_surface_diameter(exceptional_B):
 
 def test_box_index_finds_a_neighbour_across_two_cell_edges():
     # p is 0.10000000000006 from q in the box metric, two 0.1-wide cells
-    # away; density_scan queries at eps*(1 + 1e-12), and this used to miss it
+    # away, so a radius a hair above 0.1 must find it; cells exactly radius
+    # wide used to miss it
     q = (0.1 * (1 - 0.25e-12), 0.05, 0.05)
     p = (q[0] + 0.1 * (1 + 0.6e-12), 0.05, 0.05)
     assert max(abs(a - b) for a, b in zip(p, q)) < 0.1 * (1 + 1e-12)

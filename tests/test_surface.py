@@ -107,12 +107,32 @@ def test_kappa_rejects_mixed_modes(markov_B):
 
 
 def test_boundary_traces_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^a = 2 must lie strictly in \(-2, 2\)$"):
         BoundaryTraces(2, 0, 0, 0)
     with pytest.raises(ValueError):
         BoundaryTraces(0.0, 0.0, -2.0, 0.0)
     with pytest.raises(MixedModeError):
         BoundaryTraces(Fraction(1, 2), 0.5, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "build, name, side",
+    [
+        (lambda: BoundaryTraces(2 + Fraction(1, 10**5000), 0, 0, 0), "a", "above 2"),
+        (lambda: BoundaryTraces(0, 0, 0, -Fraction(10**400)), "d", "below -2"),
+        (lambda: level_set(BoundaryTraces(0, 0, 0, 0), Axis.X, Fraction(10**5000)), "level",
+         "above 2"),
+    ],
+    ids=["digits-beyond-the-str-limit", "401-digits", "level"],
+)
+def test_range_error_names_the_side_of_a_huge_value(build, name, side):
+    # str() of the value raised past Python's int-to-str digit limit, or
+    # printed every digit
+    with pytest.raises(ValueError) as exc:
+        build()
+    message = str(exc.value)
+    assert message == f"{name} is {side} and must lie strictly in (-2, 2)"
+    assert len(message) < 200
 
 
 @given(boundary_fractions, boundary_fractions, boundary_fractions, boundary_fractions)

@@ -301,6 +301,27 @@ def test_bounded_search_refuses_coefficients_beyond_the_screen_bound(coeffs):
         bounded_search(10, 4, coeffs)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1, Fraction(1, 10**400)),
+        (10**5, Fraction(1, 10**303)),
+        (Fraction(1, 10**400),),
+    ],
+    ids=["lattice-beyond-doubles", "sums-beyond-doubles", "lone-tiny-coefficient"],
+)
+def test_bounded_search_refuses_screens_beyond_the_double_range(coeffs):
+    # these leaked an OverflowError from the float screen: `lattice * float(c)`
+    # took the lattice past the doubles, or `round` met an infinite sum
+    with pytest.raises(ValueError, match="double range"):
+        bounded_search(5, 4, coeffs)
+
+
+def test_bounded_search_takes_a_fine_coefficient_inside_the_double_range():
+    found = bounded_search(5, 4, (1, Fraction(1, 10**303)))
+    assert [(rel.describe(), cls.family) for rel, cls in found] == [("cos(pi/3) = 1/2", 1)]
+
+
 def test_bounded_search_keeps_large_coefficient_denominators():
     # the value 1/10002 has a denominator above 10,000
     found = bounded_search(3, 1, (Fraction(1, 5001),))
