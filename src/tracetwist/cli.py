@@ -41,6 +41,16 @@ from .twists import TwistWord, apply_word
 from .trigdioph import bounded_search, conway_jones_list, eval_exact
 
 
+def _rational(text: str) -> Fraction:
+    """An argparse ``type`` for one exact rational "p/q" or "p"; errors follow the flag name."""
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
 def _csv_flag(parse, expect: int | None, what: str):
     """An argparse ``type`` for comma-separated values; errors follow the flag name."""
 
@@ -52,7 +62,7 @@ def _csv_flag(parse, expect: int | None, what: str):
             )
         try:
             return tuple(parse(p) for p in parts)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return convert
@@ -260,8 +270,8 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 
     mode = {"choices": [EXACT, FLOAT], "default": EXACT}
     budget = {"type": int, "default": 10_000}
-    traces = {"type": _csv_flag(Fraction, 4, "traces"), "help": "a,b,c,d"}
-    point = {"type": _csv_flag(Fraction, 3, "point"), "help": "x,y,z"}
+    traces = {"type": _csv_flag(_rational, 4, "traces"), "help": "a,b,c,d"}
+    point = {"type": _csv_flag(_rational, 3, "point"), "help": "x,y,z"}
     add(
         cmd_classify,
         "component type, attainable x-interval, and sigma invariants",
@@ -300,12 +310,12 @@ def _build_parser(argv) -> argparse.ArgumentParser:
         max_q={"type": int, "default": 15},
         max_terms={"type": int, "default": 4},
         coeffs={
-            "type": _csv_flag(Fraction, None, "coeffs"),
+            "type": _csv_flag(_rational, None, "coeffs"),
             "default": (1, -1),
             "help": "comma-separated rational coefficients",
         },
         t={
-            "type": Fraction,
+            "type": _rational,
             "default": Fraction(1, 12),
             "help": "parameter (of pi) for the three-term family",
         },

@@ -65,7 +65,12 @@ class ComponentClass(Enum):
 
 
 def _check_open_range(name: str, value: Scalar) -> None:
-    if not (-2 < value < 2):
+    # A Fraction n/d (d > 0) is decided on integers; a float comparison also refuses NaN.
+    if isinstance(value, Fraction):
+        inside = abs(value.numerator) < 2 * value.denominator
+    else:
+        inside = -2 < value < 2
+    if not inside:
         # A rational too long to print (str() can raise) is named by its side.
         if isinstance(value, Fraction) and (value.numerator * value.denominator).bit_length() > 256:
             side = "above 2" if value > 0 else "below -2"
@@ -80,8 +85,10 @@ class BoundaryTraces:
     The derived symmetric invariants are fixed at construction:
     sigma_x = ab+cd, sigma_y = ad+bc, sigma_z = ac+bd and the constant
     s_const = a^2+b^2+c^2+d^2+abcd-4 appearing in the surface equation.
-    Exact arithmetic on points uses them over one common denominator, see
-    :attr:`_integer_form`.
+    Exact invariants are built once, on integers: with a = A/L, ..., d = D/L
+    over the common denominator L, sigma_x = (AB+CD)/L^2 and so on, each
+    one Fraction.  Exact arithmetic on points uses them over their own
+    least common denominator, :attr:`_integer_form`.
     """
 
     a: Scalar
@@ -97,14 +104,22 @@ class BoundaryTraces:
         _, (a, b, c, d) = unify(self.a, self.b, self.c, self.d)
         for name, v in zip("abcd", (a, b, c, d)):
             _check_open_range(name, v)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "sigma_x", a * b + c * d)
-        object.__setattr__(self, "sigma_y", a * d + b * c)
-        object.__setattr__(self, "sigma_z", a * c + b * d)
-        object.__setattr__(self, "s_const", a * a + b * b + c * c + d * d + a * b * c * d - 4)
+        if isinstance(a, float):
+            invariants = (a * b + c * d, a * d + b * c, a * c + b * d,
+                          a * a + b * b + c * c + d * d + a * b * c * d - 4)
+        else:
+            L = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+            A, B, C, D = (v.numerator * (L // v.denominator) for v in (a, b, c, d))
+            L2 = L * L
+            invariants = (
+                Fraction(A * B + C * D, L2),
+                Fraction(A * D + B * C, L2),
+                Fraction(A * C + B * D, L2),
+                Fraction((A * A + B * B + C * C + D * D - 4 * L2) * L2 + A * B * C * D, L2 * L2),
+            )
+        names = ("a", "b", "c", "d", "sigma_x", "sigma_y", "sigma_z", "s_const")
+        for name, v in zip(names, (a, b, c, d, *invariants)):
+            object.__setattr__(self, name, v)
 
     @property
     def mode(self) -> str:

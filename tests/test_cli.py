@@ -190,6 +190,36 @@ def test_cj_empty_coefficient_is_a_usage_error(capsys, coeffs):
     assert "error: argument --coeffs: " in captured.err
 
 
+_ZERO_DENOMINATOR = {
+    "traces": ["classify", "--traces", "1/0,0,0,0"],
+    "point": ["orbit", "--traces", "0,0,0,0", "--point", "1/0,0,0"],
+    "coeffs": ["cj", "--search", "--coeffs", "1/0,1"],
+    "t": ["cj", "--verify-list", "--t", "1/0"],
+}
+
+
+@pytest.mark.parametrize("flag", list(_ZERO_DENOMINATOR))
+def test_zero_denominator_names_the_flag(capsys, flag):
+    # three flags printed "Fraction(1, 0)"; --t escaped argparse and main
+    # printed "error: Fraction(1, 0)" with no flag name and no usage line
+    with pytest.raises(SystemExit) as exc:
+        main(_ZERO_DENOMINATOR[flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert captured.err.endswith(f": error: argument --{flag}: zero denominator in '1/0'\n")
+
+
+def test_zero_denominator_in_a_config_value_names_the_flag(capsys, tmp_path):
+    config = tmp_path / "cj.cfg"
+    config.write_text("t=1/0\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(config), "cj", "--verify-list"])
+    assert exc.value.code == 2
+    assert "error: argument --t: zero denominator in '1/0'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n", ["1001", "1" + "0" * 53])
 def test_filtration_refuses_beyond_desk_scale(capsys, n):
     # a 54-digit n ran until killed; the refusal comes before any work

@@ -135,14 +135,89 @@ def test_range_error_names_the_side_of_a_huge_value(build, name, side):
     assert len(message) < 200
 
 
-@given(boundary_fractions, boundary_fractions, boundary_fractions, boundary_fractions)
+# Denominators up to about 10**12, pairwise coprime when drawn from the
+# sampled prime powers, and numerators that reach within 3/d of +-2.
+_WIDE_DENOMINATORS = st.one_of(
+    st.integers(1, 10**12),
+    st.sampled_from([999_999_999_989, 2**40, 3**25, 5**17, 7**14, 11**11]),
+)
+wide_boundary_fractions = _WIDE_DENOMINATORS.flatmap(
+    lambda d: st.one_of(
+        st.integers(-2 * d + 1, 2 * d - 1),
+        st.integers(1, 3).map(lambda k: 2 * d - k),
+        st.integers(1, 3).map(lambda k: k - 2 * d),
+    ).map(lambda n: Fraction(n, d))
+)
+any_boundary_fractions = st.one_of(boundary_fractions, wide_boundary_fractions)
+
+
+@given(any_boundary_fractions, any_boundary_fractions, any_boundary_fractions,
+       any_boundary_fractions)
 def test_sigma_recompute_invariance(a, b, c, d):
     B = BoundaryTraces(a, b, c, d)
-    assert B.sigma_x == a * b + c * d
-    assert B.sigma_y == a * d + b * c
-    assert B.sigma_z == a * c + b * d
-    assert B.s_const == a * a + b * b + c * c + d * d + a * b * c * d - 4
+    invariants = (a * b + c * d, a * d + b * c, a * c + b * d,
+                  a * a + b * b + c * c + d * d + a * b * c * d - 4)
+    assert (B.sigma_x, B.sigma_y, B.sigma_z, B.s_const) == invariants
+    assert all(type(v) is Fraction for v in (B.sigma_x, B.sigma_y, B.sigma_z, B.s_const))
     assert all(-8 < s < 8 for s in (B.sigma_x, B.sigma_y, B.sigma_z))
+    # An instance carrying the plain Fraction formula: eq, hash and repr agree.
+    reference = object.__new__(BoundaryTraces)
+    names = ("a", "b", "c", "d", "sigma_x", "sigma_y", "sigma_z", "s_const")
+    for name, v in zip(names, (a, b, c, d, *invariants)):
+        object.__setattr__(reference, name, v)
+    assert B == reference and hash(B) == hash(reference) and repr(B) == repr(reference)
+    # The integer form is the least common denominator of the reduced invariants.
+    E = math.lcm(*(v.denominator for v in invariants))
+    assert B._integer_form == (E, *(v.numerator * (E // v.denominator) for v in invariants))
+    # Float mode keeps its expressions, so its doubles are bit-identical.
+    af, bf, cf, df = map(float, (a, b, c, d))
+    Bf = B.to_float()
+    expected = (af * bf + cf * df, af * df + bf * cf, af * cf + bf * df,
+                af * af + bf * bf + cf * cf + df * df + af * bf * cf * df - 4)
+    got = (Bf.sigma_x, Bf.sigma_y, Bf.sigma_z, Bf.s_const)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+_NEAR_TWO = 2 - Fraction(1, 10**40)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (Fraction(2), "a = 2 must lie strictly in (-2, 2)"),
+        (Fraction(-4, 2), "a = -2 must lie strictly in (-2, 2)"),
+        (2, "a = 2 must lie strictly in (-2, 2)"),
+        (-2, "a = -2 must lie strictly in (-2, 2)"),
+        (3, "a = 3 must lie strictly in (-2, 2)"),
+        (4 - _NEAR_TWO, "a is above 2 and must lie strictly in (-2, 2)"),
+        (_NEAR_TWO, None),
+        (-_NEAR_TWO, None),
+        (1, None),
+        (True, None),
+        (False, None),
+        (2.0, "a = 2.0 must lie strictly in (-2, 2)"),
+        (-2.0, "a = -2.0 must lie strictly in (-2, 2)"),
+        (math.nan, "a = nan must lie strictly in (-2, 2)"),
+        (math.inf, "a = inf must lie strictly in (-2, 2)"),
+        (-math.inf, "a = -inf must lie strictly in (-2, 2)"),
+        (math.nextafter(2.0, 0.0), None),
+    ],
+)
+def test_open_range_rule(value, message):
+    # Exact values are decided on integers, |n| < 2d; floats by -2 < v < 2.
+    zero = 0.0 if isinstance(value, float) else 0
+    B0 = BoundaryTraces(zero, zero, zero, zero)
+    if message is None:
+        B = BoundaryTraces(value, zero, zero, zero)
+        assert B.a == value and type(B.a) is type(B0.a)
+        assert level_set(B0, Axis.X, value).level == value
+        return
+    with pytest.raises(ValueError) as exc:
+        BoundaryTraces(value, zero, zero, zero)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        level_set(B0, Axis.X, value)
+    assert str(exc.value) == "level" + message[1:]
 
 
 def test_classify_exceptional(exceptional_B):
