@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +63,11 @@ def _check_eps(eps: float) -> None:
     # NaN and infinity pass a plain eps <= 0 test.
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, not {eps}")
+    if eps < sys.float_info.min:
+        raise ValueError(
+            f"eps must be at least {sys.float_info.min} (a normal double), not {eps}: "
+            "below it eps/10 and 1/eps leave the double range"
+        )
 
 
 # Float dedup grid of enumerate_orbit; keep it far below any epsilon under test.

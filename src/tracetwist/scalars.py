@@ -139,7 +139,7 @@ class Surd:
     r: Fraction
 
     def __init__(self, a, b=0, r=0):
-        a, b, r = Fraction(a), Fraction(b), Fraction(r)
+        a, b, r = as_fraction(a), as_fraction(b), as_fraction(r)  # refuses floats
         if r < 0:
             raise ValueError("negative radicand")
         if b == 0 or r == 0:

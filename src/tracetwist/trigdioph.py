@@ -336,25 +336,23 @@ def normalize(rel: CJRelation) -> CJRelation:
     """Fold all angles into [0, pi/2], merging terms and absorbing constants.
 
     Uses cos(pi - t) = cos(pi + t) to reach [0, pi] and
-    cos(pi/2 + t) = -cos(pi/2 - t) to reach [0, pi/2]; angles 0 and pi/2
-    then leave the relation as constants or vanish, so the result has all
-    angles strictly inside (0, pi/2) and the same exact value.
+    cos(pi/2 + t) = -cos(pi/2 - t) to reach [0, pi/2], on the integers of
+    each angle pi*p/q; angles 0 and pi/2 then leave the relation as
+    constants or vanish, so the result has all angles strictly inside
+    (0, pi/2) and the same exact value.
     """
     rhs = rel.rhs
     merged: dict[AngleFraction, Fraction] = {}
     for term in rel.terms:
-        t = term.angle.trace_canonical().fraction
-        coeff = term.coeff
-        if t > Fraction(1, 2):
-            t = 1 - t
-            coeff = -coeff
-        if t == 0:
+        angle = term.angle.trace_canonical()
+        p, q, coeff = angle.p, angle.q, term.coeff
+        if 2 * p > q:
+            p, coeff = q - p, -coeff
+        if p == 0:
             rhs -= coeff
-            continue
-        if t == Fraction(1, 2):
-            continue
-        key = AngleFraction.from_fraction(t)
-        merged[key] = merged.get(key, Fraction(0)) + coeff
+        elif 2 * p != q:
+            key = AngleFraction(p, q)
+            merged[key] = merged.get(key, 0) + coeff
     terms = tuple(CJTerm(c, a) for a, c in sorted(merged.items()) if c)
     return CJRelation(terms, rhs)
 
@@ -391,15 +389,8 @@ def t_family_instance(t: Fraction) -> CJRelation:
     t = as_fraction(t)
     if not (0 < t < Fraction(1, 6)):
         raise ValueError("parameter must satisfy 0 < t < 1/6")
-    third = Fraction(1, 3)
-    return CJRelation(
-        (
-            CJTerm(Fraction(-1), AngleFraction.from_fraction(t)),
-            CJTerm(Fraction(1), AngleFraction.from_fraction(third - t)),
-            CJTerm(Fraction(1), AngleFraction.from_fraction(third + t)),
-        ),
-        Fraction(0),
-    )
+    p, q = t.numerator, t.denominator  # pi/3 -+ pi*t = pi*(q -+ 3p)/(3q)
+    return CJRelation.make([(-1, p, q), (1, q - 3 * p, 3 * q), (1, q + 3 * p, 3 * q)])
 
 
 @dataclass(frozen=True)
@@ -487,10 +478,7 @@ def _decide(terms: tuple[CJTerm, ...]) -> tuple[Fraction, Classification] | None
 
 def conway_jones_list(t: Fraction = Fraction(1, 12)) -> list[CJRelation]:
     """All ten minimal relations, with the parameterized family sampled at t."""
-    out = []
-    for index in range(1, 11):
-        out.append(t_family_instance(t) if index == 2 else _FIXED_FAMILIES[index])
-    return out
+    return [t_family_instance(t) if i == 2 else _FIXED_FAMILIES[i] for i in range(1, 11)]
 
 
 def _search_angles(max_q: int) -> list[AngleFraction]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tracetwist import BoundaryTraces, TracePoint, TwistWord, apply_word, enumerate_orbit
+from tracetwist import cli
 from tracetwist.cli import _exact, _int_digits_unlimited, main
 
 
@@ -315,6 +316,38 @@ def test_scan_refuses_non_finite_eps(capsys, eps):
     assert code == 2
     assert out == ""
     assert err.startswith("error: eps must be positive and finite")
+
+
+def test_scan_refuses_subnormal_eps(capsys):
+    code, out, err = run(
+        capsys, "scan", "--traces", "1/2,1/2,1/2,1/3", "--point", "0,1/2,-1.55",
+        "--eps", "5e-324", "--budget", "100",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: eps must be at least ")
+    assert "5e-324" in err and "double range" in err
+
+
+def test_a_raising_internal_check_exits_one(capsys, monkeypatch):
+    def kappa(*args):
+        raise RuntimeError("kappa cross-check failed")
+
+    monkeypatch.setattr(cli, "kappa", kappa)
+    code, out, err = run(capsys, "example5")
+    assert code == 1
+    assert out == ""
+    assert err == "internal check failed: kappa cross-check failed\n"
+
+
+def test_a_failed_example5_check_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_in_F", lambda *args: False)
+    code, out, err = run(capsys, "example5")
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert [name for name, ok in payload["checks"].items() if not ok] == ["in_family"]
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

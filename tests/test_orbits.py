@@ -402,6 +402,20 @@ def test_exceptional_family_closure_random():
                 exceptional_family(a, c)
 
 
+@pytest.mark.parametrize("eps", [5e-324, 1e-310, 2.2250738585072014e-308 / 2])
+def test_subnormal_eps_is_refused(markov_B, exceptional_B, eps):
+    # eps/10 would underflow the dedup grid to 0.0, and 1/eps overflow to inf.
+    orbit = _slice_orbit(markov_B.to_float(), Axis.Y, 0.0, 2)
+    calls = (
+        lambda: density_scan(exceptional_B, TracePoint(-1.0, 0.0, 0.0), eps=eps, budget=100),
+        lambda: epsilon_density_on_level(markov_B, orbit, Axis.Y, 0.0, eps),
+        lambda: N_of_epsilon(markov_B, eps),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^eps must be at least .* \(a normal double\)"):
+            call()
+
+
 def test_density_scan_exceptional_stays_put(exceptional_B):
     report = density_scan(
         exceptional_B, TracePoint(-1.0, 0.0, 0.0), eps=0.01, budget=20_000

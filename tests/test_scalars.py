@@ -56,6 +56,17 @@ def test_surd_collapse_and_equality():
     assert hash(Surd(1, 1, 9)) == hash(Fraction(4))
 
 
+@pytest.mark.parametrize("args", [(0.1, 1, 2), (0, 0.5, 2), (0, 1, 2.0)])
+def test_surd_refuses_floats(args):
+    with pytest.raises(MixedModeError):
+        Surd(*args)
+
+
+def test_surd_takes_ints_fractions_and_strings():
+    assert Surd("1/2", Fraction(1, 3), "2") == Surd(Fraction(1, 2), Fraction(1, 3), 2)
+    assert Surd("3", 1, "4/9").as_fraction() == Fraction(11, 3)
+
+
 def test_surd_ordering():
     assert Surd(0, 1, 2) < Fraction(3, 2)
     assert Surd(0, 1, 2) > 1

@@ -201,6 +201,107 @@ def test_t_family_instances_vanish():
         t_family_instance(Fraction(1, 6))
 
 
+def _fraction_fold(rel):
+    """Reference `normalize`: the fold on Fraction multiples of pi that it replaced."""
+    rhs = rel.rhs
+    merged = {}
+    for term in rel.terms:
+        t = term.angle.trace_canonical().fraction
+        coeff = term.coeff
+        if t > Fraction(1, 2):
+            t = 1 - t
+            coeff = -coeff
+        if t == 0:
+            rhs -= coeff
+            continue
+        if t == Fraction(1, 2):
+            continue
+        key = AngleFraction.from_fraction(t)
+        merged[key] = merged.get(key, Fraction(0)) + coeff
+    terms = tuple(CJTerm(c, a) for a, c in sorted(merged.items()) if c)
+    return CJRelation(terms, rhs)
+
+
+def _fraction_t_family(t):
+    """Reference `t_family_instance`: family 2 built from Fraction(1, 3) -+ t."""
+    third = Fraction(1, 3)
+    return CJRelation(
+        (
+            CJTerm(Fraction(-1), AngleFraction.from_fraction(t)),
+            CJTerm(Fraction(1), AngleFraction.from_fraction(third - t)),
+            CJTerm(Fraction(1), AngleFraction.from_fraction(third + t)),
+        ),
+        Fraction(0),
+    )
+
+
+# Angles pi*p/q with q <= 60: 0, pi/2, pi and 3pi/2 explicitly, then any p in
+# [0, 4q), so past pi and past 2pi (which AngleFraction reduces) too.
+_fold_angles = st.one_of(
+    st.sampled_from([(0, 1), (1, 2), (1, 1), (3, 2)]),
+    st.integers(1, 60).flatmap(lambda q: st.tuples(st.integers(0, 4 * q - 1), st.just(q))),
+)
+_fold_coeffs = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 7)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_fold_coeffs, _fold_angles), max_size=6),
+    st.sampled_from([0, Fraction(1, 2), -2]),
+)
+def test_normalize_matches_the_fraction_fold(terms, rhs):
+    # Repeating each term's reflection cos(pi - t) = -cos(t) exercises merging and cancellation.
+    terms = terms + [(-c, (q - p, q)) for c, (p, q) in terms[:2]]
+    rel = CJRelation.make([(c, p, q) for c, (p, q) in terms], rhs)
+    out, ref = normalize(rel), _fraction_fold(rel)
+    assert out == ref and repr(out) == repr(ref)
+
+
+def test_t_family_instance_matches_the_fraction_construction():
+    # every reduced p/q in (0, 1/6) with q <= 120
+    for q in range(7, 121):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1 and 6 * p < q:
+                rel, ref = t_family_instance(Fraction(p, q)), _fraction_t_family(Fraction(p, q))
+                assert rel == ref and repr(rel) == repr(ref)
+                assert eval_exact(rel).is_zero()
+
+
+def _hand_built(t, second, third):
+    """The ten relations written out term by term; family 2 at angles t, second, third."""
+    half = Fraction(1, 2)
+
+    def rel(terms, rhs=half):
+        terms = tuple(CJTerm(Fraction(c), AngleFraction(p, q)) for c, p, q in terms)
+        return CJRelation(terms, rhs)
+
+    return [
+        rel([(1, 1, 3)]),
+        rel([(-1, t.numerator, t.denominator), (1, *second), (1, *third)], Fraction(0)),
+        rel([(1, 1, 5), (-1, 2, 5)]),
+        rel([(1, 1, 7), (-1, 2, 7), (1, 3, 7)]),
+        rel([(-1, 1, 15), (1, 1, 5), (1, 4, 15)]),
+        rel([(1, 2, 15), (-1, 2, 5), (-1, 7, 15)]),
+        rel([(-1, 1, 21), (1, 1, 7), (1, 8, 21), (1, 3, 7)]),
+        rel([(1, 2, 21), (1, 1, 7), (-1, 5, 21), (-1, 2, 7)]),
+        rel([(1, 4, 21), (-1, 2, 7), (1, 3, 7), (1, 10, 21)]),
+        rel([(-1, 1, 15), (1, 2, 15), (1, 4, 15), (-1, 7, 15)]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "t, second, third",
+    [
+        (Fraction(1, 12), (1, 4), (5, 12)),
+        (Fraction(2, 15), (1, 5), (7, 15)),
+        (Fraction(1, 4620), (513, 1540), (1541, 4620)),
+    ],
+)
+def test_conway_jones_list_is_the_ten_relations_by_hand(t, second, third):
+    assert conway_jones_list(t) == _hand_built(t, second, third)
+    assert repr(conway_jones_list(t)) == repr(_hand_built(t, second, third))
+
+
 def test_match_family_examples():
     cls = match_family(CJRelation.make([(1, 1, 5), (-1, 2, 5)], Fraction(1, 2)))
     assert cls.kind == "family" and cls.family == 3
